@@ -45,17 +45,21 @@ class AgentProtocolError(AgentError):
 @dataclass(frozen=True)
 class AgentEndpoint:
     base_url: str
-    model_id: str
+    model_id: str = "default"
     auth_env: str = AUTH_ENV_VAR
     timeout: float = 30.0
     max_retries: int = 2
     backoff: float = 0.25
 
     def __post_init__(self):
+        if not self.base_url:
+            raise ValueError("base_url must be nonempty")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.backoff < 0:
+            raise ValueError("backoff must be >= 0")
 
 
 @dataclass(frozen=True)

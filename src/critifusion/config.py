@@ -1,48 +1,26 @@
 """Plain key=value configuration with section prefixes.
 
 A config file is UTF-8 text, one ``section.key = value`` (or bare
-``key = value``) per line; ``#`` starts a comment.  Every key has a
-documented default, so a run needs nothing beyond a prompt.
+``key = value``) per line; ``#`` starts a comment.  The keys, their types,
+their defaults and their rules are the fields of the config dataclasses,
+so a run needs nothing beyond a prompt:
 
-Defaults:
-    prompt =                        (empty; usually overridden on the CLI)
-    seed = 0
-    channels = 4, height = 64, width = 64
-    gamma = 1.0                     (toy decode scale; SD-class models use
-                                     0.18215 / 0.13025)
-    steps = 50, beta_start = 1e-4, beta_end = 0.02
-    sampler = ddim                  (ddim | ddpm)
-    refine_mode = img2img           (img2img | blend)
-    base_guidance = 0.0
-    budget = 77
-    taper = 0.10
-    clamp = true
-    degrade = abort                 (abort | allow)
-    agent_backend = mock            (mock | http)
-    diffusion_backend = toy
-    committee.mode = moa            (moa | mad)
-    committee.agents = 3            (MAD width)
-    committee.rounds = 1            (MAD rounds)
-    committee.layer_widths = 3      (MoA widths, comma-separated)
-    committee.k_edit = 5
-    committee.k_hints = 5
-    cadr.lam_min = 0.12   cadr.lam_span = 0.18
-    cadr.g_min = 3.6      cadr.g_span = 1.4
-    cadr.t_min = 16       cadr.t_span = 14
-    cadr.rho_min = 0.60   cadr.rho_span = 0.25
-    cadr.skip_threshold = 0.9
-    agent.base_url =                (required when agent_backend = http)
-    agent.model_id = default
-    agent.timeout = 30.0
-    agent.max_retries = 2
-    agent.backoff = 0.25
+    bare keys      PipelineConfig  (critifusion.pipeline)
+    committee.*    CommitteeConfig (critifusion.criticore)
+    cadr.*         CadrConfig      (critifusion.cadr)
+    agent.*        AgentEndpoint   (critifusion.agents), all fields but
+                   auth_env; read only when agent_backend = http
+
+Booleans accept true/false, yes/no and 1/0; tuples are comma-separated
+integers (``committee.layer_widths = 3,3``).
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
+
 from .agents import AgentEndpoint
-from .cadr import CadrConfig
-from .criticore import CommitteeConfig
 from .pipeline import PipelineConfig
 
 
@@ -51,6 +29,14 @@ class ConfigError(ValueError):
 
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+_CASTS = {
+    str: str,
+    int: int,
+    float: float,
+    bool: lambda raw: _BOOL[raw.lower()],
+    tuple: lambda raw: tuple(int(part) for part in raw.split(",") if part.strip()),
+}
 
 
 def parse_kv(text: str) -> dict:
@@ -70,107 +56,59 @@ def parse_kv(text: str) -> dict:
     return out
 
 
-def _get(kv: dict, key: str, default, cast):
-    if key not in kv:
-        return default
-    raw = kv.pop(key)
-    try:
-        if cast is bool:
-            return _BOOL[raw.lower()]
-        return cast(raw)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+def _take(cls, kv: dict, prefix: str = "", hidden=()) -> dict:
+    """Pop and cast the keys of ``cls``'s fields: its constructor kwargs.
+
+    Keys absent from ``kv`` are left to the field defaults.  A field whose
+    type is itself a dataclass is built from the keys under its own name
+    as section prefix (``committee.k_edit``).
+    """
+    types = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in hidden:
+            continue
+        kind = types[f.name]
+        if is_dataclass(kind):
+            kwargs[f.name] = kind(**_take(kind, kv, f"{prefix}{f.name}."))
+            continue
+        key = prefix + f.name
+        if key not in kv:
+            continue
+        cast, raw = _CASTS[kind], kv.pop(key)
+        try:
+            kwargs[f.name] = cast(raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    return kwargs
 
 
-def _int_list(raw: str):
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
-def load_config(text: str, overrides: dict | None = None) -> PipelineConfig:
+def load_config(
+    text: str, overrides: dict | None = None
+) -> tuple[PipelineConfig, AgentEndpoint | None]:
     """Parse config text plus CLI overrides.
 
     Returns (PipelineConfig, AgentEndpoint | None); the endpoint is only
-    populated when agent_backend = http.
+    populated when agent_backend = http.  Every invalid value, including
+    one the dataclasses reject when built, raises ConfigError.
     """
     kv = parse_kv(text)
     if overrides:
         kv.update({k: str(v) for k, v in overrides.items()})
 
     try:
-        committee = CommitteeConfig(
-            mode=_get(kv, "committee.mode", "moa", str),
-            agents=_get(kv, "committee.agents", 3, int),
-            rounds=_get(kv, "committee.rounds", 1, int),
-            layer_widths=_get(kv, "committee.layer_widths", (3,), _int_list),
-            k_edit=_get(kv, "committee.k_edit", 5, int),
-            k_hints=_get(kv, "committee.k_hints", 5, int),
-        )
-        cadr = CadrConfig(
-            lam_min=_get(kv, "cadr.lam_min", 0.12, float),
-            g_min=_get(kv, "cadr.g_min", 3.6, float),
-            t_min=_get(kv, "cadr.t_min", 16, int),
-            rho_min=_get(kv, "cadr.rho_min", 0.60, float),
-            lam_span=_get(kv, "cadr.lam_span", 0.18, float),
-            g_span=_get(kv, "cadr.g_span", 1.4, float),
-            t_span=_get(kv, "cadr.t_span", 14, int),
-            rho_span=_get(kv, "cadr.rho_span", 0.25, float),
-            skip_threshold=_get(kv, "cadr.skip_threshold", 0.9, float),
-        )
-        config = PipelineConfig(
-            prompt=_get(kv, "prompt", "", str),
-            channels=_get(kv, "channels", 4, int),
-            height=_get(kv, "height", 64, int),
-            width=_get(kv, "width", 64, int),
-            gamma=_get(kv, "gamma", 1.0, float),
-            steps=_get(kv, "steps", 50, int),
-            beta_start=_get(kv, "beta_start", 1e-4, float),
-            beta_end=_get(kv, "beta_end", 0.02, float),
-            sampler=_get(kv, "sampler", "ddim", str),
-            refine_mode=_get(kv, "refine_mode", "img2img", str),
-            base_guidance=_get(kv, "base_guidance", 0.0, float),
-            seed=_get(kv, "seed", 0, int),
-            budget=_get(kv, "budget", 77, int),
-            taper=_get(kv, "taper", 0.10, float),
-            clamp=_get(kv, "clamp", True, bool),
-            committee=committee,
-            cadr=cadr,
-            agent_backend=_get(kv, "agent_backend", "mock", str),
-            diffusion_backend=_get(kv, "diffusion_backend", "toy", str),
-            degrade=_get(kv, "degrade", "abort", str),
-        )
+        config = PipelineConfig(**_take(PipelineConfig, kv))
+        # Endpoint keys are consumed even for the mock backend so they
+        # never count as unknown.
+        agent = _take(AgentEndpoint, kv, "agent.", hidden=("auth_env",))
+        if kv:
+            raise ConfigError(f"unknown config keys: {sorted(kv)}")
+        if config.agent_backend != "http":
+            return config, None
+        if "base_url" not in agent:
+            raise ConfigError("agent.base_url is required when agent_backend = http")
+        return config, AgentEndpoint(**agent)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    # Endpoint keys are consumed even for the mock backend so they never
-    # count as unknown.
-    endpoint_raw = {
-        "base_url": _get(kv, "agent.base_url", "", str),
-        "model_id": _get(kv, "agent.model_id", "default", str),
-        "timeout": _get(kv, "agent.timeout", 30.0, float),
-        "max_retries": _get(kv, "agent.max_retries", 2, int),
-        "backoff": _get(kv, "agent.backoff", 0.25, float),
-    }
-    if kv:
-        raise ConfigError(f"unknown config keys: {sorted(kv)}")
-    if config.sampler not in ("ddim", "ddpm"):
-        raise ConfigError(f"sampler must be ddim or ddpm, got {config.sampler!r}")
-    if config.refine_mode not in ("img2img", "blend"):
-        raise ConfigError(f"refine_mode must be img2img or blend")
-    if config.degrade not in ("abort", "allow"):
-        raise ConfigError(f"degrade must be abort or allow, got {config.degrade!r}")
-    if config.agent_backend not in ("mock", "http"):
-        raise ConfigError(f"agent_backend must be mock or http")
-    if config.diffusion_backend != "toy":
-        raise ConfigError("only the toy diffusion backend ships with this package")
-    if config.agent_backend == "http" and not endpoint_raw["base_url"]:
-        raise ConfigError("agent.base_url is required when agent_backend = http")
-
-    endpoint = None
-    if config.agent_backend == "http":
-        try:
-            endpoint = AgentEndpoint(**endpoint_raw)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return config, endpoint

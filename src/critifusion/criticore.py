@@ -103,9 +103,9 @@ class CritiqueReport:
 @dataclass(frozen=True)
 class CommitteeConfig:
     mode: str = "moa"
-    agents: int = 3
-    rounds: int = 1
-    layer_widths: tuple = (3,)
+    agents: int = 3  # MAD width
+    rounds: int = 1  # MAD rounds
+    layer_widths: tuple = (3,)  # MoA proposers per layer
     k_edit: int = 5
     k_hints: int = 5
 
@@ -126,15 +126,13 @@ class CommitteeConfig:
         return self.agents if self.mode == "mad" else self.layer_widths[0]
 
 
-def vlm_hints(
-    image: LatentField, prompt: PromptBundle, backend=None, k_hints: int = 5
-) -> list[str]:
+def vlm_hints(image: LatentField, prompt: PromptBundle, k_hints: int = 5) -> list[str]:
     """Grounded hints: where the image's pattern coefficients miss the prompt.
 
     Every basis pattern is checked against its desired coefficient (1 when
     the prompt names it, 0 otherwise); mismatches above threshold become
-    hints, largest first, at most k_hints.  A non-mock backend would be
-    consulted here instead; the analytic diff is the offline VLM.
+    hints, largest first, at most k_hints.  The analytic diff is the
+    offline VLM.
     """
     if k_hints < 1:
         raise ValueError("k_hints must be >= 1")
@@ -151,6 +149,18 @@ def vlm_hints(
     return [text for _, _, text in mismatches[:k_hints]]
 
 
+def clauses_for(indices) -> list[Clause]:
+    """One unscored clause per descriptor index, in the given order."""
+    return [
+        Clause(
+            clause_id=j,
+            text=(vocab.CANONICAL_NAMES[j],),
+            kind=CLAUSE_KINDS[j % len(CLAUSE_KINDS)],
+        )
+        for j in indices
+    ]
+
+
 def decompose_clauses(
     prompt: PromptBundle, hints, committee: CommitteeConfig, backend
 ) -> list[Clause]:
@@ -164,14 +174,7 @@ def decompose_clauses(
         for j in vocab.descriptor_indices(vocab.tokenize(resp.text)):
             if j not in seen:
                 seen.append(j)
-    return [
-        Clause(
-            clause_id=j,
-            text=(vocab.CANONICAL_NAMES[j],),
-            kind=CLAUSE_KINDS[j % len(CLAUSE_KINDS)],
-        )
-        for j in seen
-    ]
+    return clauses_for(seen)
 
 
 def mad_round(state, committee: CommitteeConfig, backend, instruction: str):
@@ -230,11 +233,7 @@ def moa_aggregate(instruction: str, committee: CommitteeConfig, backend) -> str:
 
 
 def score_clauses(
-    clauses,
-    image: LatentField,
-    backend=None,
-    hints=(),
-    transcript=(),
+    clauses, image: LatentField, hints=(), transcript=()
 ) -> CritiqueReport:
     """Score every clause as 1 / (1 + MSE) against its unit coefficient."""
     clauses = list(clauses)

@@ -17,6 +17,10 @@ from .basis import N_BASIS, synthesize_target
 from .latents import LatentField, _gaussian_stream, sample_gaussian_latent
 
 
+SAMPLERS = ("ddim", "ddpm")
+REFINE_MODES = ("img2img", "blend")
+
+
 class ScheduleError(ValueError):
     pass
 
@@ -249,8 +253,8 @@ def base_sample(
     width: int,
 ) -> LatentField:
     """Full reverse chain from seeded noise with CFG at every step."""
-    if sampler not in ("ddim", "ddpm"):
-        raise ValueError(f"sampler must be 'ddim' or 'ddpm', got {sampler!r}")
+    if sampler not in SAMPLERS:
+        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     z = sample_gaussian_latent(channels, height, width, seed)
     noises = (
         _noise_fields(seed, 1, sched.steps, channels, height, width)
@@ -287,7 +291,6 @@ def img2img_refine(
     sched: VarianceSchedule,
     seed: int,
     mode: str = "img2img",
-    sampler: str = "ddim",
     forced_k: int | None = None,
 ) -> LatentField:
     """Corrective pass: re-noise z_base part-way, then denoise under cond.
@@ -295,7 +298,8 @@ def img2img_refine(
     Builds a T'-step schedule from the base schedule's beta endpoints,
     maps lambda to k = round(lambda * T') (or uses ``forced_k``), derives
     (strength, t0) through strength_to_start, forward-noises z_base with
-    noise seeded by seed + 999, and runs the remaining reverse steps with
+    noise seeded by seed + 999, and runs the remaining reverse steps as
+    deterministic DDIM (eta = 0) updates, whatever sampler drew z_base, with
     CFG scale w = max(g - 1, 0).  T' == 0 returns z_base unchanged.
     In ``blend`` mode the update is the per-step convex combination
     (1 - a) * z + a * step(z) + sqrt(beta_t) * eps with a = lambda, run
@@ -304,8 +308,8 @@ def img2img_refine(
     T_prime = int(params.T_prime)
     if T_prime == 0:
         return z_base
-    if mode not in ("img2img", "blend"):
-        raise ValueError(f"mode must be 'img2img' or 'blend', got {mode!r}")
+    if mode not in REFINE_MODES:
+        raise ValueError(f"mode must be one of {REFINE_MODES}, got {mode!r}")
     sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
     w = max(float(params.g) - 1.0, 0.0)
     guided = Conditioning(cond.embedding, w, is_null=cond.is_null)
@@ -338,13 +342,6 @@ def img2img_refine(
         return z_base
     renoise = _noise_fields(corr_seed, 0, 1, c, h, wd)[0]
     z = forward_noise(z_base, t_start - 1, sub, renoise)
-    noises = (
-        _noise_fields(corr_seed, 1, t_start, c, h, wd) if sampler == "ddpm" else None
-    )
     for t in range(t_start, 0, -1):
-        eps = _guided_eps(z, t, guided, w, sub)
-        if sampler == "ddim":
-            z = ddim_step(z, t, eps, sub)
-        else:
-            z = ddpm_step(z, t, eps, sub, noises[t_start - t])
+        z = ddim_step(z, t, _guided_eps(z, t, guided, w, sub), sub)
     return z

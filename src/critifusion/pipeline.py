@@ -11,12 +11,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import vocab
 from .agents import AgentError, MockAgentBackend, mock_respond
+from .basis import _check_toy_dims
 from .cadr import CadrConfig, CadrParams, cadr_from_alignment
 from .criticore import (
     Clause,
-    CLAUSE_KINDS,
     CommitteeConfig,
-    PromptBundle,
+    clauses_for,
     conditioning_from_prompt,
     decompose_clauses,
     make_prompt_bundle,
@@ -26,8 +26,14 @@ from .criticore import (
     score_clauses,
     vlm_hints,
 )
-from .diffusion import base_sample, img2img_refine, make_schedule
-from .latents import LatentField, VaeScale, apply_vae_scale, latent_digest
+from .diffusion import (
+    REFINE_MODES,
+    SAMPLERS,
+    base_sample,
+    img2img_refine,
+    make_schedule,
+)
+from .latents import LatentField, VaeScale, _check_dims, apply_vae_scale, latent_digest
 from .spectral import TaperSpec, spec_fuse
 
 CORRECTIVE_SEED_OFFSET = 999
@@ -67,11 +73,13 @@ class StageFailure(PipelineError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every knob of one run; an invalid value is rejected when built."""
+
     prompt: str = ""
     channels: int = 4
     height: int = 64
     width: int = 64
-    gamma: float = 1.0
+    gamma: float = 1.0  # toy decode scale; SD-class models use 0.18215 / 0.13025
     steps: int = 50
     beta_start: float = 1e-4
     beta_end: float = 0.02
@@ -85,8 +93,27 @@ class PipelineConfig:
     committee: CommitteeConfig = field(default_factory=CommitteeConfig)
     cadr: CadrConfig = field(default_factory=CadrConfig)
     agent_backend: str = "mock"
-    diffusion_backend: str = "toy"
     degrade: str = "abort"
+
+    def __post_init__(self):
+        for name, allowed in (
+            ("sampler", SAMPLERS),
+            ("refine_mode", REFINE_MODES),
+            ("degrade", ("abort", "allow")),
+            ("agent_backend", ("mock", "http")),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if not self.base_guidance >= 0:
+            raise ValueError(f"base_guidance must be >= 0, got {self.base_guidance}")
+        _check_dims(self.channels, self.height, self.width)
+        _check_toy_dims(self.height, self.width)
+        make_schedule(self.steps, self.beta_start, self.beta_end)
+        VaeScale(self.gamma)
+        TaperSpec(self.taper)
 
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -174,17 +201,6 @@ class _RecordingBackend:
         return resp
 
 
-def _clauses_from_prompt(bundle: PromptBundle) -> list[Clause]:
-    return [
-        Clause(
-            clause_id=j,
-            text=(vocab.CANONICAL_NAMES[j],),
-            kind=CLAUSE_KINDS[j % len(CLAUSE_KINDS)],
-        )
-        for j in vocab.descriptor_indices(bundle.tokens)
-    ]
-
-
 def _reorder_by_text(clauses: list[Clause], aggregated: str) -> list[Clause]:
     order = vocab.descriptor_indices(vocab.tokenize(aggregated))
     rank = {j: i for i, j in enumerate(order)}
@@ -225,8 +241,6 @@ def run_critifusion(
     scale = VaeScale(config.gamma)
     sched = make_schedule(config.steps, config.beta_start, config.beta_end)
     bundle = make_prompt_bundle(config.prompt, config.budget)
-
-    state: dict = {}
 
     def stage(name: str, fn):
         stage_holder[0] = name
@@ -271,7 +285,10 @@ def run_critifusion(
     record.hints = list(hints)
 
     if "multi_llm" in disable:
-        clauses = stage("decompose_clauses", lambda: _clauses_from_prompt(bundle))
+        clauses = stage(
+            "decompose_clauses",
+            lambda: clauses_for(vocab.descriptor_indices(bundle.tokens)),
+        )
         stage("aggregate", lambda: None)
     else:
         clauses = stage(

@@ -312,7 +312,9 @@ def test_agent_client_contracts_and_secret_hygiene(tmp_path, monkeypatch):
 
     state = StubState()
     server = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(state))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    ).start()
     url = f"http://127.0.0.1:{server.server_address[1]}"
     try:
         def endpoint(**kw):

@@ -117,7 +117,9 @@ def make_handler(state: StubState):
 def stub():
     state = StubState()
     server = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(state))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield state, f"http://127.0.0.1:{server.server_address[1]}"
@@ -212,3 +214,5 @@ class TestHttpClient:
             AgentEndpoint(base_url="http://x", model_id="m", timeout=0.0)
         with pytest.raises(ValueError):
             AgentEndpoint(base_url="http://x", model_id="m", max_retries=-1)
+        with pytest.raises(ValueError):
+            AgentEndpoint(base_url="http://x", model_id="m", backoff=-1.0)

@@ -65,6 +65,26 @@ class TestGenerate:
         assert (out / "image.ppm").read_bytes().startswith(b"P6\n")
 
 
+# Each row is rejected when the config is built, before any stage runs.
+INVALID = [
+    {"steps": 0},
+    {"beta_start": 0.5, "beta_end": 0.1},
+    {"budget": -1},
+    {"budget": 0},
+    {"gamma": 0},
+    {"height": 8},
+    {"channels": 0},
+    {"base_guidance": -1},
+    {"prompt": "aurora basalt", "taper": 0.9},  # complete prompt: CADR skips
+    {"diffusion_backend": "toy"},  # not a config key
+]
+
+
+
+def row_id(row):
+    return ",".join(f"{k}={v}" for k, v in row.items())
+
+
 class TestErrors:
     def test_missing_config_exit_2_no_outputs(self, tmp_path):
         out = tmp_path / "nope"
@@ -85,6 +105,27 @@ class TestErrors:
 
     def test_unknown_subcommand(self):
         assert main(["transmogrify"]) == 2
+
+    @pytest.mark.parametrize("row", INVALID, ids=row_id)
+    def test_invalid_value_exit_2_no_record(self, tmp_path, row):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            "prompt = aurora\n" + "".join(f"{k} = {v}\n" for k, v in row.items())
+        )
+        out = tmp_path / "o"
+        code = main(["generate", "--config", str(bad), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not (out / "record.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "row",
+        [row for row in INVALID if "diffusion_backend" not in row]
+        + [{"refine_mode": "bogus"}],
+        ids=row_id,
+    )
+    def test_invalid_value_rejected_when_built(self, row):
+        with pytest.raises(ValueError):
+            PipelineConfig(**{"prompt": "aurora", **row})
 
     def test_duplicate_k(self, tmp_path, cfg_file):
         code = main(

@@ -202,3 +202,32 @@ class TestSerialization:
         assert latent_digest(a) == latent_digest(b)
         assert latent_digest(a) != latent_digest(c)
         assert len(latent_digest(a)) == 64
+
+
+@st.composite
+def latent_streams(draw):
+    """CRTFLAT1-like byte strings: small dims (any u32 at times) and a
+    payload within two bytes of the declared size."""
+    dims = st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1))
+    c, h, w = draw(dims), draw(dims), draw(dims)
+    n = 4 * c * h * w if c * h * w <= 256 else 0
+    payload = draw(st.binary(min_size=max(n - 2, 0), max_size=n + 2))
+    return MAGIC + struct.pack("<III", c, h, w) + payload
+
+
+class TestReadLatentFuzz:
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=64).map(lambda b: MAGIC + b),
+            latent_streams(),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_raise_only_latent_errors(self, blob):
+        try:
+            field = read_latent(io.BytesIO(blob))
+        except LatentError:
+            return
+        encoded = latent_bytes(field)
+        assert blob[: len(encoded)] == encoded
