@@ -30,9 +30,15 @@ class CadrConfig:
     skip_threshold: float = 0.9
 
     def __post_init__(self):
-        for name in ("lam_span", "g_span", "t_span", "rho_span"):
+        spans = ("lam_span", "g_span", "t_span", "rho_span")
+        for name in ("lam_min", "g_min", "t_min", "rho_min") + spans:
+            if not math.isfinite(getattr(self, name)):
+                raise AlignmentInputError(f"{name} must be finite")
+        for name in spans:
             if getattr(self, name) < 0:
                 raise AlignmentInputError(f"{name} must be >= 0")
+        if self.t_min < 1:
+            raise AlignmentInputError(f"t_min must be >= 1, got {self.t_min}")
         if not (0.0 < self.skip_threshold <= 1.0):
             raise AlignmentInputError("skip threshold must be in (0, 1]")
 

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import N_BASIS, synthesize_target
-from .latents import LatentField, _gaussian_stream, sample_gaussian_latent
+from .latents import (
+    LatentField,
+    _gaussian_stream,
+    gaussian_chunks,
+    sample_gaussian_latent,
+)
 
 
 SAMPLERS = ("ddim", "ddpm")
@@ -221,26 +226,75 @@ def ddpm_step(
     return z_t.with_values(out)
 
 
-def _noise_fields(
-    seed: int, stream: int, count: int, channels: int, height: int, width: int
-):
-    """Per-step noise fields from one documented Philox stream."""
-    n = channels * height * width
-    draws = _gaussian_stream(seed, count * n, stream=stream).astype(np.float32)
-    return [
-        LatentField(channels, height, width, draws[i * n : (i + 1) * n].reshape(
-            channels, height, width
-        ))
-        for i in range(count)
-    ]
+# The chains below run the step functions' arithmetic on plain float64
+# arrays, in the same floating-point order, so their bits equal a chain of
+# toy_denoiser -> cfg_combine -> ddim_step / ddpm_step calls.  Only the
+# result is wrapped (and checked finite) as a LatentField: every update
+# divides by a positive scalar, never by an array, so a non-finite
+# intermediate stays non-finite until the end.
 
 
-def _guided_eps(
-    z: LatentField, t: int, cond: Conditioning, w: float, sched: VarianceSchedule
-) -> LatentField:
-    eps_c = toy_denoiser(z, t - 1, cond, sched)
-    eps_u = toy_denoiser(z, t - 1, null_conditioning(), sched)
-    return cfg_combine(eps_c, eps_u, w)
+def _anchor(cond: Conditioning, w: float, shape) -> np.ndarray | None:
+    """toy_denoiser's anchor target / (1 + w); None for null conditioning."""
+    if cond.is_null:
+        return None
+    return synthesize_target(cond.embedding, *shape) / (1.0 + w)
+
+
+def _abar_pair(sched: VarianceSchedule, t: int) -> tuple[float, float]:
+    """(abar(t), abar(t - 1)), with toy_denoiser's check."""
+    abar = sched.abar(t)
+    if abar >= 1.0:
+        raise DegenerateStepError("alpha_bar == 1: nothing to predict")
+    return abar, sched.abar(t - 1)
+
+
+def _guided_eps_into(eps, scratch, z, anchor, w: float, abar: float) -> None:
+    """eps <- (1 + w) * eps_cond - w * eps_null, both from toy_denoiser."""
+    sd = np.sqrt(1.0 - abar)
+    if anchor is None:
+        np.divide(z, sd, out=eps)
+    else:
+        np.multiply(anchor, np.sqrt(abar), out=eps)
+        np.subtract(z, eps, out=eps)
+        np.divide(eps, sd, out=eps)
+    np.divide(z, sd, out=scratch)
+    np.multiply(eps, 1.0 + w, out=eps)
+    np.multiply(scratch, w, out=scratch)
+    np.subtract(eps, scratch, out=eps)
+
+
+def _ddim_into(out, z, eps, abar: float, abar_prev: float) -> None:
+    """out <- ddim_step(z, eps); ``out`` must not be ``z``; eps is clobbered."""
+    if abar <= 0.0:
+        raise SingularStepError("alpha_bar == 0: x0 not recoverable")
+    np.multiply(eps, np.sqrt(1.0 - abar), out=out)
+    np.subtract(z, out, out=out)
+    np.divide(out, np.sqrt(abar), out=out)
+    np.multiply(out, np.sqrt(abar_prev), out=out)
+    np.multiply(eps, np.sqrt(1.0 - abar_prev), out=eps)
+    np.add(out, eps, out=out)
+
+
+def _ddim_chain(z, anchor, w: float, sched: VarianceSchedule, t_start: int):
+    """Guided DDIM updates t_start .. 1 on the float64 array z (clobbered)."""
+    eps, out = np.empty_like(z), np.empty_like(z)
+    for t in range(t_start, 0, -1):
+        abar, abar_prev = _abar_pair(sched, t)
+        _guided_eps_into(eps, out, z, anchor, w, abar)
+        _ddim_into(out, z, eps, abar, abar_prev)
+        z, out = out, z
+    return z
+
+
+def _noise_steps(seed: int, stream: int, shape):
+    """Per-step noise fields, rounded to float32 like every drawn latent.
+
+    Field i is draws [i*n, (i+1)*n) of the (seed, stream) Gaussian stream;
+    each is drawn when its step asks for it.
+    """
+    for draws in gaussian_chunks(seed, int(np.prod(shape)), stream):
+        yield draws.astype(np.float32).reshape(shape)
 
 
 def base_sample(
@@ -255,20 +309,25 @@ def base_sample(
     """Full reverse chain from seeded noise with CFG at every step."""
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
-    z = sample_gaussian_latent(channels, height, width, seed)
-    noises = (
-        _noise_fields(seed, 1, sched.steps, channels, height, width)
-        if sampler == "ddpm"
-        else None
-    )
+    z = sample_gaussian_latent(channels, height, width, seed).values.copy()
     w = cond.guidance_scale
-    for t in range(sched.steps, 0, -1):
-        eps = _guided_eps(z, t, cond, w, sched)
-        if sampler == "ddim":
-            z = ddim_step(z, t, eps, sched)
-        else:
-            z = ddpm_step(z, t, eps, sched, noises[sched.steps - t])
-    return z
+    anchor = _anchor(cond, w, z.shape)
+    if sampler == "ddim":
+        z = _ddim_chain(z, anchor, w, sched, sched.steps)
+    else:
+        eps, scratch = np.empty_like(z), np.empty_like(z)
+        noises = _noise_steps(seed, 1, z.shape)
+        for t, noise in zip(range(sched.steps, 0, -1), noises):
+            abar, abar_prev = _abar_pair(sched, t)
+            _guided_eps_into(eps, scratch, z, anchor, w, abar)
+            beta = float(sched.beta[t - 1])
+            sigma2 = beta * (1.0 - abar_prev) / (1.0 - abar)
+            np.multiply(eps, beta, out=eps)
+            np.subtract(z, eps, out=z)
+            np.divide(z, np.sqrt(1.0 - beta), out=z)
+            np.multiply(noise, np.sqrt(sigma2), out=eps, dtype=np.float64)
+            np.add(z, eps, out=z)
+    return LatentField(channels, height, width, z)
 
 
 def strength_to_start(k: int, T_prime: int) -> StrengthMap:
@@ -298,12 +357,14 @@ def img2img_refine(
     Builds a T'-step schedule from the base schedule's beta endpoints,
     maps lambda to k = round(lambda * T') (or uses ``forced_k``), derives
     (strength, t0) through strength_to_start, forward-noises z_base with
-    noise seeded by seed + 999, and runs the remaining reverse steps as
-    deterministic DDIM (eta = 0) updates, whatever sampler drew z_base, with
-    CFG scale w = max(g - 1, 0).  T' == 0 returns z_base unchanged.
+    the first noise field of the Philox stream (seed + 999, 0), and runs
+    the remaining reverse steps as deterministic DDIM (eta = 0) updates,
+    whatever sampler drew z_base, with CFG scale w = max(g - 1, 0).
+    T' == 0 returns z_base unchanged.
     In ``blend`` mode the update is the per-step convex combination
     (1 - a) * z + a * step(z) + sqrt(beta_t) * eps with a = lambda, run
-    over all T' steps from z_base.
+    over all T' steps from z_base; the i-th step's eps is the i-th field of
+    the same stream, drawn when that step runs.
     """
     T_prime = int(params.T_prime)
     if T_prime == 0:
@@ -312,25 +373,25 @@ def img2img_refine(
         raise ValueError(f"mode must be one of {REFINE_MODES}, got {mode!r}")
     sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
     w = max(float(params.g) - 1.0, 0.0)
-    guided = Conditioning(cond.embedding, w, is_null=cond.is_null)
-    c, h, wd = z_base.shape
+    anchor = _anchor(cond, w, z_base.shape)
     corr_seed = seed + 999
 
     if mode == "blend":
         alpha = float(params.lam)
-        noises = _noise_fields(corr_seed, 0, T_prime, c, h, wd)
-        z = z_base
-        for t in range(T_prime, 0, -1):
-            eps = _guided_eps(z, t, guided, w, sub)
-            stepped = ddim_step(z, t, eps, sub)
-            beta = float(sub.beta[t - 1])
-            out = (
-                (1.0 - alpha) * z.values.astype(np.float64)
-                + alpha * stepped.values.astype(np.float64)
-                + np.sqrt(beta) * noises[T_prime - t].values.astype(np.float64)
-            )
-            z = z.with_values(out)
-        return z
+        z = z_base.values.copy()
+        eps, out = np.empty_like(z), np.empty_like(z)
+        noises = _noise_steps(corr_seed, 0, z.shape)
+        for t, noise in zip(range(T_prime, 0, -1), noises):
+            abar, abar_prev = _abar_pair(sub, t)
+            _guided_eps_into(eps, out, z, anchor, w, abar)
+            _ddim_into(out, z, eps, abar, abar_prev)
+            np.multiply(z, 1.0 - alpha, out=z)
+            np.multiply(out, alpha, out=out)
+            np.add(z, out, out=z)
+            sd = np.sqrt(float(sub.beta[t - 1]))
+            np.multiply(noise, sd, out=out, dtype=np.float64)
+            np.add(z, out, out=z)
+        return z_base.with_values(z)
 
     if forced_k is None:
         k = int(np.floor(float(params.lam) * T_prime + 0.5))
@@ -340,8 +401,8 @@ def img2img_refine(
     t_start = T_prime - sm.t0
     if t_start <= 0:
         return z_base
-    renoise = _noise_fields(corr_seed, 0, 1, c, h, wd)[0]
-    z = forward_noise(z_base, t_start - 1, sub, renoise)
-    for t in range(t_start, 0, -1):
-        z = ddim_step(z, t, _guided_eps(z, t, guided, w, sub), sub)
-    return z
+    abar = float(sub.alpha_bar[t_start - 1])
+    renoise = _gaussian_stream(corr_seed, z_base.values.size).astype(np.float32)
+    z = np.sqrt(abar) * z_base.values
+    z += np.sqrt(1.0 - abar) * renoise.astype(np.float64).reshape(z_base.shape)
+    return z_base.with_values(_ddim_chain(z, anchor, w, sub, t_start))

@@ -110,17 +110,41 @@ class VaeScale:
             raise LatentError(f"gamma must be positive, got {self.gamma}")
 
 
-def _gaussian_stream(seed: int, count: int, stream: int = 0) -> np.ndarray:
-    """Deterministic standard-normal draws.
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
 
-    Philox4x64 keyed by (seed, stream); each 64-bit word is reduced to a
-    53-bit integer k and mapped to the open-interval uniform
-    u = (k + 0.5) * 2**-53, then through the inverse normal CDF.
+
+def _next_gaussians(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` words of ``gen`` as standard-normal draws.
+
+    Each 64-bit word is reduced to a 53-bit integer k and mapped to the
+    open-interval uniform u = (k + 0.5) * 2**-53, then through the inverse
+    normal CDF.
     """
-    gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
     words = gen.integers(0, 2**64, size=count, dtype=np.uint64)
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)
+
+
+def _gaussian_stream(seed: int, count: int, stream: int = 0) -> np.ndarray:
+    """Deterministic standard-normal draws.
+
+    Philox4x64 keyed by (seed, stream), words mapped as in _next_gaussians.
+    """
+    return _next_gaussians(_philox(seed, stream), count)
+
+
+def gaussian_chunks(seed: int, size: int, stream: int = 0):
+    """Endless successive ``size``-draw chunks of the (seed, stream) stream.
+
+    The first T chunks, concatenated, equal
+    ``_gaussian_stream(seed, T * size, stream)`` bit for bit: Philox keeps
+    the unread words of its 4-word block between calls.  Only the current
+    chunk is held, so T steps of noise cost one field of memory, not T.
+    """
+    gen = _philox(seed, stream)
+    while True:
+        yield _next_gaussians(gen, size)
 
 
 def sample_gaussian_latent(

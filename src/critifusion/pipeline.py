@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict, replace
 
@@ -107,8 +108,10 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if not self.base_guidance >= 0:
-            raise ValueError(f"base_guidance must be >= 0, got {self.base_guidance}")
+        if not (math.isfinite(self.base_guidance) and self.base_guidance >= 0):
+            raise ValueError(
+                f"base_guidance must be finite and >= 0, got {self.base_guidance}"
+            )
         _check_dims(self.channels, self.height, self.width)
         _check_toy_dims(self.height, self.width)
         make_schedule(self.steps, self.beta_start, self.beta_end)

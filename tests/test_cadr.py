@@ -76,6 +76,22 @@ class TestValidation:
         with pytest.raises(AlignmentInputError):
             CadrConfig(skip_threshold=1.5)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["lam_min", "g_min", "t_min", "rho_min"]
+        + ["lam_span", "g_span", "t_span", "rho_span"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_config_rejected(self, name, bad):
+        with pytest.raises(AlignmentInputError):
+            CadrConfig(**{name: bad})
+
+    def test_t_min_below_one_rejected(self):
+        for t_min in (0, -40):
+            with pytest.raises(AlignmentInputError):
+                CadrConfig(t_min=t_min)
+        assert cadr_from_alignment(0.0, CadrConfig(t_min=1, t_span=0)).T_prime == 1
+
 
 class TestProperties:
     @given(

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, outputs, determinism, inspection."""
 
 import json
+import math
 
 import pytest
 
+from critifusion.cadr import CadrConfig
 from critifusion.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main
 from critifusion.pipeline import (
     PipelineConfig,
@@ -75,6 +77,10 @@ INVALID = [
     {"height": 8},
     {"channels": 0},
     {"base_guidance": -1},
+    {"base_guidance": math.inf},
+    {"cadr.lam_span": math.nan},
+    {"cadr.g_min": math.nan},
+    {"cadr.t_min": -40},
     {"prompt": "aurora basalt", "taper": 0.9},  # complete prompt: CADR skips
     {"diffusion_backend": "toy"},  # not a config key
 ]
@@ -124,8 +130,10 @@ class TestErrors:
         ids=row_id,
     )
     def test_invalid_value_rejected_when_built(self, row):
+        cadr = {k[len("cadr."):]: v for k, v in row.items() if k.startswith("cadr.")}
+        rest = {k: v for k, v in row.items() if not k.startswith("cadr.")}
         with pytest.raises(ValueError):
-            PipelineConfig(**{"prompt": "aurora", **row})
+            PipelineConfig(**{"prompt": "aurora", **rest}, cadr=CadrConfig(**cadr))
 
     def test_duplicate_k(self, tmp_path, cfg_file):
         code = main(

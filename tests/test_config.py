@@ -56,7 +56,7 @@ cadrs = st.builds(
     CadrConfig,
     lam_min=unit(),
     g_min=unit(0.0, 10.0),
-    t_min=st.integers(0, 50),
+    t_min=st.integers(1, 50),
     rho_min=unit(),
     lam_span=unit(),
     g_span=unit(0.0, 10.0),

@@ -2,10 +2,13 @@
 
 The sampler checks run against an independent step-by-step trace oracle
 that re-derives each update from the raw formulas using plain Python
-floats, sharing no code with the implementation.
+floats, sharing no code with the implementation.  The array chains are
+also checked bit for bit against a reference chain of the public step
+functions, and for memory that does not grow with the step count.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from critifusion.diffusion import (
     toy_denoiser,
 )
 from critifusion.cadr import CadrParams
-from critifusion.latents import LatentField, sample_gaussian_latent
+from critifusion.latents import LatentField, _gaussian_stream, sample_gaussian_latent
 
 
 def const_field(value, c=1, h=2, w=2):
@@ -405,3 +408,133 @@ class TestTargetField:
         for i in range(16):
             for j in range(i + 1, 16):
                 assert abs(np.sum(planes[i] * planes[j])) < 1e-9
+
+
+# Reference chains: one LatentField per step-function call, all noise drawn
+# up front.  The sampler chains must reproduce these bits exactly.
+
+
+def ref_noise_fields(seed, stream, count, c, h, w):
+    n = c * h * w
+    draws = _gaussian_stream(seed, count * n, stream=stream).astype(np.float32)
+    return [
+        LatentField(c, h, w, draws[i * n : (i + 1) * n].reshape(c, h, w))
+        for i in range(count)
+    ]
+
+
+def ref_guided_eps(z, t, cond, w, sched):
+    eps_c = toy_denoiser(z, t - 1, cond, sched)
+    eps_u = toy_denoiser(z, t - 1, null_conditioning(), sched)
+    return cfg_combine(eps_c, eps_u, w)
+
+
+def ref_base_sample(cond, sched, sampler, seed, c, h, w):
+    z = sample_gaussian_latent(c, h, w, seed)
+    noises = ref_noise_fields(seed, 1, sched.steps, c, h, w)
+    for t in range(sched.steps, 0, -1):
+        eps = ref_guided_eps(z, t, cond, cond.guidance_scale, sched)
+        if sampler == "ddim":
+            z = ddim_step(z, t, eps, sched)
+        else:
+            z = ddpm_step(z, t, eps, sched, noises[sched.steps - t])
+    return z
+
+
+def ref_refine(z_base, cond, params, sched, seed, mode):
+    T_prime = params.T_prime
+    sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
+    w = max(params.g - 1.0, 0.0)
+    guided = Conditioning(cond.embedding, w, is_null=cond.is_null)
+    c, h, wd = z_base.shape
+    noises = ref_noise_fields(seed + 999, 0, T_prime, c, h, wd)
+    if mode == "blend":
+        z = z_base
+        for t in range(T_prime, 0, -1):
+            stepped = ddim_step(z, t, ref_guided_eps(z, t, guided, w, sub), sub)
+            out = (
+                (1.0 - params.lam) * z.values
+                + params.lam * stepped.values
+                + np.sqrt(float(sub.beta[t - 1])) * noises[T_prime - t].values
+            )
+            z = z.with_values(out)
+        return z
+    k = int(np.floor(params.lam * T_prime + 0.5))
+    t_start = T_prime - strength_to_start(k, T_prime).t0
+    z = forward_noise(z_base, t_start - 1, sub, noises[0])
+    for t in range(t_start, 0, -1):
+        z = ddim_step(z, t, ref_guided_eps(z, t, guided, w, sub), sub)
+    return z
+
+
+def conditioning(kind, w):
+    if kind == "null":
+        return Conditioning(np.zeros(16), w, is_null=True)
+    return Conditioning(embedding(1, 6, 11), w)
+
+
+# 3 x 17 x 18 = 918 values per field, not a multiple of Philox's 4-word
+# block, so consecutive noise steps start mid-block.
+DIMS = (3, 17, 18)
+
+
+class TestChainsMatchStepFunctions:
+    @pytest.mark.parametrize("kind", ["prompt", "null"])
+    @pytest.mark.parametrize("w", [0.0, 3.0])
+    @pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
+    def test_base_sample(self, sampler, w, kind):
+        s = make_schedule(12, 1e-3, 0.05)
+        cond = conditioning(kind, w)
+        out = base_sample(cond, s, sampler, 4, *DIMS)
+        ref = ref_base_sample(cond, s, sampler, 4, *DIMS)
+        assert out.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["prompt", "null"])
+    @pytest.mark.parametrize("g", [1.0, 4.0])  # w = 0 and w = 3
+    @pytest.mark.parametrize("mode", ["img2img", "blend"])
+    def test_refine(self, mode, g, kind):
+        s = make_schedule(50, 1e-4, 0.02)
+        z_base = base_sample(conditioning("prompt", 0.0), s, "ddpm", 2, *DIMS)
+        params = CadrParams(lam=0.3, g=g, T_prime=14, rho=0.7)
+        cond = conditioning(kind, 0.0)
+        out = img2img_refine(z_base, cond, params, s, 2, mode=mode)
+        ref = ref_refine(z_base, cond, params, s, 2, mode)
+        assert not np.array_equal(out.values, z_base.values)
+        assert out.values.tobytes() == ref.values.tobytes()
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Peak memory is a few fields, whatever the step count."""
+
+    C, H, W = 4, 128, 128
+    FIELD = 8 * C * H * W  # one float64 field
+    LIMIT = 12 * FIELD
+
+    def base_peak(self, steps):
+        s = make_schedule(steps, 1e-4, 0.02)
+        cond = Conditioning(embedding(1, 5), 3.0)
+        dims = (self.C, self.H, self.W)
+        return peak_bytes(lambda: base_sample(cond, s, "ddpm", 0, *dims))
+
+    def blend_peak(self, steps):
+        s = make_schedule(50, 1e-4, 0.02)
+        z = sample_gaussian_latent(self.C, self.H, self.W, 1)
+        params = CadrParams(lam=0.25, g=4.0, T_prime=steps, rho=0.7)
+        cond = Conditioning(embedding(1, 5), 0.0)
+        return peak_bytes(lambda: img2img_refine(z, cond, params, s, 0, mode="blend"))
+
+    @pytest.mark.parametrize("peak", ["base_peak", "blend_peak"])
+    def test_peak_is_bounded_and_flat_in_steps(self, peak):
+        short, long = getattr(self, peak)(10), getattr(self, peak)(100)
+        assert short < self.LIMIT
+        assert long < self.LIMIT
+        assert long < short + self.FIELD // 8

@@ -22,7 +22,9 @@ from critifusion.latents import (
     LatentField,
     TruncatedStreamError,
     VaeScale,
+    _gaussian_stream,
     apply_vae_scale,
+    gaussian_chunks,
     latent_bytes,
     latent_digest,
     latent_stats,
@@ -83,6 +85,17 @@ class TestSampling:
         a = sample_gaussian_latent(1, 8, 8, 0)
         b = sample_gaussian_latent(1, 8, 8, 1)
         assert not np.array_equal(a.values, b.values)
+
+    # Philox4x64 emits 4 words per counter: sizes that are not multiples of
+    # 4 make later chunks start mid-block, so its buffer must carry over.
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("size", [1, 3, 5, 6, 918])
+    def test_chunks_concatenate_to_the_stream(self, stream, size):
+        steps = 9
+        chunks = gaussian_chunks(42, size, stream)
+        got = np.concatenate([next(chunks) for _ in range(steps)])
+        want = _gaussian_stream(42, steps * size, stream)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestVaeScale:
