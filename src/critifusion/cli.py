@@ -44,13 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--prompt", default=None, help="prompt override")
-        p.add_argument("--jobs", type=int, default=1, help="sweep worker count")
-        p.add_argument("--dump-image", action="store_true", help="write a PPM preview")
         p.add_argument("-v", "--verbose", action="store_true")
 
-    common(sub.add_parser("generate", help="run the full pipeline from a prompt"))
+    gen = sub.add_parser("generate", help="run the full pipeline from a prompt")
     refine = sub.add_parser("refine", help="refine an existing base latent")
-    common(refine)
+    for p in (gen, refine):
+        common(p)
+        p.add_argument("--dump-image", action="store_true", help="write a PPM preview")
     refine.add_argument("--latent", default=None, help="base latent file (CRTFLAT1)")
     sweep = sub.add_parser("sweep-k", help="sweep the corrective step count")
     common(sweep)
@@ -78,10 +78,10 @@ def _load(args):
     return load_config(path.read_text(encoding="utf-8"), overrides)
 
 
-def _backend_factory(config, endpoint):
+def _make_backend(config, endpoint):
     if config.agent_backend == "http":
-        return lambda: HttpAgentBackend(endpoint)
-    return lambda: MockAgentBackend()
+        return HttpAgentBackend(endpoint)
+    return MockAgentBackend()
 
 
 def _int_list(raw: str):
@@ -95,7 +95,7 @@ def _run_single(args, base_latent=None) -> int:
     config, endpoint = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    backend = _backend_factory(config, endpoint)()
+    backend = _make_backend(config, endpoint)
     try:
         record, latents = run_critifusion(config, backend, base_latent=base_latent)
     except StageFailure as failure:
@@ -120,14 +120,14 @@ def _run_sweep(args) -> int:
     config, endpoint = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    factory = _backend_factory(config, endpoint)
+    backend = _make_backend(config, endpoint)
     if args.subcommand == "sweep-k":
-        table = sweep_k(config, _int_list(args.k), factory, jobs=args.jobs)
+        table = sweep_k(config, _int_list(args.k), backend)
     elif args.subcommand == "ablate":
         mask = [part.strip() for part in args.mask.split(",") if part.strip()]
-        table = ablate(config, mask, factory, jobs=args.jobs)
+        table = ablate(config, mask, backend)
     else:
-        table = sweep_ensemble(config, _int_list(args.sizes), factory, jobs=args.jobs)
+        table = sweep_ensemble(config, _int_list(args.sizes), backend)
     path = out / "sweep.jsonl"
     write_sweep_table(table, path)
     for row in table.rows:

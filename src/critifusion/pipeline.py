@@ -8,8 +8,6 @@ import math
 import time
 from dataclasses import dataclass, field, asdict, replace
 
-from concurrent.futures import ThreadPoolExecutor
-
 from . import vocab
 from .agents import AgentError, MockAgentBackend, mock_respond
 from .basis import _check_toy_dims
@@ -34,7 +32,8 @@ from .diffusion import (
     img2img_refine,
     make_schedule,
 )
-from .latents import LatentField, VaeScale, _check_dims, apply_vae_scale, latent_digest
+from .latents import LatentError, LatentField, VaeScale, _check_dims
+from .latents import apply_vae_scale, latent_digest
 from .spectral import TaperSpec, spec_fuse
 
 CORRECTIVE_SEED_OFFSET = 999
@@ -223,10 +222,15 @@ def run_critifusion(
     Returns (record, latents) where latents maps stage names
     ('z_base', 'z_ref', 'z_fused') to LatentField values.  Any stage error
     raises StageFailure carrying the partial record with a failure marker.
+    A ``base_latent`` replaces the base sample and must have the config's
+    (channels, height, width).
     """
     unknown = set(disable) - set(ABLATABLE)
     if unknown:
         raise SweepConfigError(f"unknown ablation components: {sorted(unknown)}")
+    expected = (config.channels, config.height, config.width)
+    if base_latent is not None and base_latent.shape != expected:
+        raise LatentError(f"base latent shape {base_latent.shape} is not {expected}")
     if backend is None:
         backend = MockAgentBackend()
     elif config.degrade == "allow" and not isinstance(backend, MockAgentBackend):
@@ -380,27 +384,30 @@ def run_critifusion(
     return record, latents
 
 
-def _row_from_run(axis_value, record: RunRecord) -> dict:
-    return {
-        "axis_value": axis_value,
-        "base_score": record.alignment.get("base"),
-        "final_score": record.alignment.get("final"),
-        "cadr": dict(record.cadr),
-    }
+def _sweep(axis: str, rows, backend, base_latent: LatentField | None = None):
+    """Run ``rows`` of (axis value, config, run kwargs) in order.
+
+    Rows differ only downstream of ``base_sample``, so every row reuses the
+    first base latent: ``base_latent`` if given, else the first row's.
+    """
+    out = []
+    for value, config, kwargs in rows:
+        record, latents = run_critifusion(
+            config, backend, base_latent=base_latent, **kwargs
+        )
+        base_latent = latents["z_base"]
+        out.append(
+            {
+                "axis_value": value,
+                "base_score": record.alignment.get("base"),
+                "final_score": record.alignment.get("final"),
+                "cadr": dict(record.cadr),
+            }
+        )
+    return SweepTable(axis=axis, rows=tuple(out))
 
 
-def _collect_rows(tasks, jobs: int):
-    """tasks: ordered list of (axis_value, zero-arg runner) -> ordered rows."""
-    if jobs <= 1:
-        return [(_row_from_run(v, fn()[0])) for v, fn in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [(v, pool.submit(fn)) for v, fn in tasks]
-        return [_row_from_run(v, fut.result()[0]) for v, fut in futures]
-
-
-def sweep_k(
-    config: PipelineConfig, k_values, backend_factory=None, jobs: int = 1
-) -> SweepTable:
+def sweep_k(config: PipelineConfig, k_values, backend=None) -> SweepTable:
     """One run per corrective-step count k, all else held fixed.
 
     T' is pinned to its maximum so every requested k fits one common
@@ -408,6 +415,8 @@ def sweep_k(
     run.  k = 0 skips the corrective pass entirely.
     """
     k_values = list(k_values)
+    if not k_values:
+        raise SweepConfigError("no k values")
     if len(set(k_values)) != len(k_values):
         raise SweepConfigError("duplicate k values")
     t_fixed = config.cadr.t_min + config.cadr.t_span
@@ -415,54 +424,40 @@ def sweep_k(
         if not (0 <= k <= t_fixed):
             raise SweepConfigError(f"k={k} outside [0, {t_fixed}]")
 
-    probe, _ = run_critifusion(config, backend_factory() if backend_factory else None)
+    probe, latents = run_critifusion(config, backend)
     params = CadrParams(
         lam=probe.cadr["lam"],
         g=probe.cadr["g"],
         T_prime=t_fixed,
         rho=probe.cadr["rho"],
     )
-
-    def runner(k):
-        return lambda: run_critifusion(
-            config,
-            backend_factory() if backend_factory else None,
-            forced_k=k,
-            forced_params=params if k > 0 else None,
-        )
-
-    tasks = [(k, runner(k)) for k in sorted(k_values)]
-    return SweepTable(axis="k", rows=tuple(_collect_rows(tasks, jobs)))
+    rows = [
+        (k, config, {"forced_k": k, "forced_params": params if k > 0 else None})
+        for k in sorted(k_values)
+    ]
+    return _sweep("k", rows, backend, latents["z_base"])
 
 
-def ablate(
-    config: PipelineConfig, mask, backend_factory=None, jobs: int = 1
-) -> SweepTable:
+def ablate(config: PipelineConfig, mask, backend=None) -> SweepTable:
     """Full model plus one row per disabled component in the mask."""
     mask = list(mask)
     unknown = set(mask) - set(ABLATABLE)
     if unknown:
         raise SweepConfigError(f"unknown components: {sorted(unknown)}")
-
-    def runner(components):
-        return lambda: run_critifusion(
-            config,
-            backend_factory() if backend_factory else None,
-            disable=frozenset(components),
-        )
-
-    tasks = [("full", runner(()))]
+    rows = [("full", config, {})]
     for component in ABLATABLE:
         if component in mask:
-            tasks.append((f"without_{component}", runner((component,))))
-    return SweepTable(axis="component", rows=tuple(_collect_rows(tasks, jobs)))
+            rows.append(
+                (f"without_{component}", config, {"disable": frozenset({component})})
+            )
+    return _sweep("component", rows, backend)
 
 
-def sweep_ensemble(
-    config: PipelineConfig, sizes, backend_factory=None, jobs: int = 1
-) -> SweepTable:
+def sweep_ensemble(config: PipelineConfig, sizes, backend=None) -> SweepTable:
     """Vary the committee width; everything else fixed."""
     sizes = list(sizes)
+    if not sizes:
+        raise SweepConfigError("no ensemble sizes")
     if len(set(sizes)) != len(sizes):
         raise SweepConfigError("duplicate ensemble sizes")
     for size in sizes:
@@ -473,7 +468,8 @@ def sweep_ensemble(
                 f"ensemble size {size} exceeds the {vocab.MAX_AGENTS} mock lexicons"
             )
 
-    def runner(size):
+    rows = []
+    for size in sorted(sizes):
         committee = config.committee
         if committee.mode == "mad":
             committee = replace(committee, agents=size)
@@ -481,13 +477,8 @@ def sweep_ensemble(
             committee = replace(
                 committee, layer_widths=(size,) + committee.layer_widths[1:]
             )
-        varied = replace(config, committee=committee)
-        return lambda: run_critifusion(
-            varied, backend_factory() if backend_factory else None
-        )
-
-    tasks = [(size, runner(size)) for size in sorted(sizes)]
-    return SweepTable(axis="ensemble_size", rows=tuple(_collect_rows(tasks, jobs)))
+        rows.append((size, replace(config, committee=committee), {}))
+    return _sweep("ensemble_size", rows, backend)
 
 
 def write_run_record(record: RunRecord, path) -> None:

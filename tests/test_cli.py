@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from critifusion.cadr import CadrConfig
 from critifusion.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main
+from critifusion.latents import LatentField, write_latent
 from critifusion.pipeline import (
     PipelineConfig,
     StageFailure,
@@ -87,6 +89,10 @@ INVALID = [
 
 
 
+# Sweep subcommands, each with its required axis argument.
+SWEEPS = (["sweep-k", "--k", "0"], ["ablate"], ["sweep-ensemble", "--sizes", "1"])
+
+
 def row_id(row):
     return ",".join(f"{k}={v}" for k, v in row.items())
 
@@ -141,6 +147,29 @@ class TestErrors:
              "--k", "1,1"]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep-k", "--k", ""], ["sweep-ensemble", "--sizes", ","]],
+        ids=["k", "sizes"],
+    )
+    def test_empty_sweep_list_exit_2_no_rows(self, tmp_path, cfg_file, argv):
+        out = tmp_path / "o"
+        code = main(argv + ["--config", str(cfg_file), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not (out / "sweep.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [sub + ["--dump-image"] for sub in SWEEPS]
+        + [sub + ["--jobs", "2"] for sub in (["generate"], ["refine"], *SWEEPS)],
+        ids=" ".join,
+    )
+    def test_unregistered_flag_exit_2(self, tmp_path, cfg_file, argv):
+        out = tmp_path / "o"
+        code = main(argv + ["--config", str(cfg_file), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestSweeps:
@@ -204,6 +233,17 @@ class TestRefine:
              "--latent", str(bad)]
         )
         assert code == EXIT_RUN_FAILURE
+
+    def test_refine_latent_shape_mismatch_exit_1_no_record(self, tmp_path, cfg_file):
+        small = tmp_path / "small.crtf"
+        write_latent(LatentField(3, 32, 32, np.zeros((3, 32, 32))), small)
+        out = tmp_path / "o"
+        code = main(
+            ["refine", "--config", str(cfg_file), "--out", str(out),
+             "--latent", str(small)]
+        )
+        assert code == EXIT_RUN_FAILURE
+        assert not (out / "record.jsonl").exists()
 
 
 class TestInspect:

@@ -1,14 +1,16 @@
 """End-to-end orchestration, provenance records, and sweep harnesses."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from critifusion import vocab
+from critifusion import pipeline, vocab
 from critifusion.agents import AgentTransportError, MockAgentBackend
+from critifusion.cadr import CadrParams
 from critifusion.criticore import CommitteeConfig
-from critifusion.latents import read_latent
+from critifusion.latents import LatentError, LatentField, read_latent
 from critifusion.pipeline import (
     STAGES,
     PipelineConfig,
@@ -116,6 +118,14 @@ class TestFailurePaths:
                 PipelineConfig(prompt=DEGRADED), disable=frozenset({"magic"})
             )
 
+    @pytest.mark.parametrize("shape", [(3, 64, 64), (4, 32, 64), (4, 64, 32)])
+    def test_base_latent_shape_must_match_config(self, shape):
+        base = LatentField(*shape, np.zeros(shape))
+        backend = MockAgentBackend()
+        with pytest.raises(LatentError):
+            run_critifusion(PipelineConfig(prompt=DEGRADED), backend, base_latent=base)
+        assert backend.calls == []
+
 
 class TestSweepK:
     def test_k_zero_row_equals_no_correction(self):
@@ -141,11 +151,10 @@ class TestSweepK:
         with pytest.raises(SweepConfigError):
             sweep_k(PipelineConfig(prompt=DEGRADED), [-1])
 
-    def test_parallel_matches_serial(self):
-        cfg = PipelineConfig(prompt=DEGRADED, seed=2)
-        serial = sweep_k(cfg, [0, 10])
-        parallel = sweep_k(cfg, [0, 10], jobs=2)
-        assert serial == parallel
+    def test_empty_rejected_before_any_run(self, base_sample_calls):
+        with pytest.raises(SweepConfigError):
+            sweep_k(PipelineConfig(prompt=DEGRADED), [])
+        assert base_sample_calls == []
 
 
 class TestAblate:
@@ -217,11 +226,92 @@ class TestSweepEnsemble:
         with pytest.raises(SweepConfigError):
             sweep_ensemble(PipelineConfig(prompt=DEGRADED), [6])
 
+    def test_empty_rejected_before_any_run(self, base_sample_calls):
+        with pytest.raises(SweepConfigError):
+            sweep_ensemble(PipelineConfig(prompt=DEGRADED), [])
+        assert base_sample_calls == []
+
     def test_mad_width_varied(self):
         committee = CommitteeConfig(mode="mad", agents=3, rounds=1)
         cfg = PipelineConfig(prompt=DEGRADED, seed=0, committee=committee)
         table = sweep_ensemble(cfg, [1, 2])
         assert len(table.rows) == 2
+
+
+def _oracle_row(axis_value, config, **kwargs):
+    record, _ = run_critifusion(config, **kwargs)
+    return {
+        "axis_value": axis_value,
+        "base_score": record.alignment["base"],
+        "final_score": record.alignment["final"],
+        "cadr": record.cadr,
+    }
+
+
+@pytest.fixture()
+def base_sample_calls(monkeypatch):
+    calls = []
+    original = pipeline.base_sample
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "base_sample", counting)
+    return calls
+
+
+class TestSharedBaseLatent:
+    """Every sweep row equals an independent run that samples its own base."""
+
+    @pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
+    @pytest.mark.parametrize(
+        "committee",
+        [CommitteeConfig(mode="moa"), CommitteeConfig(mode="mad", agents=3)],
+        ids=["moa", "mad"],
+    )
+    def test_rows_match_independent_runs(self, sampler, committee):
+        cfg = PipelineConfig(
+            prompt=DEGRADED, seed=2, sampler=sampler, committee=committee
+        )
+
+        probe, _ = run_critifusion(cfg)
+        params = CadrParams(
+            lam=probe.cadr["lam"],
+            g=probe.cadr["g"],
+            T_prime=cfg.cadr.t_min + cfg.cadr.t_span,
+            rho=probe.cadr["rho"],
+        )
+        expected = [_oracle_row(0, cfg, forced_k=0)] + [
+            _oracle_row(k, cfg, forced_k=k, forced_params=params) for k in (10, 30)
+        ]
+        assert list(sweep_k(cfg, [30, 0, 10]).rows) == expected
+
+        expected = [_oracle_row("full", cfg)] + [
+            _oracle_row(f"without_{c}", cfg, disable=frozenset({c}))
+            for c in ("vlm", "multi_llm", "specfusion")
+        ]
+        assert list(ablate(cfg, ["vlm", "multi_llm", "specfusion"]).rows) == expected
+
+        expected = []
+        for size in (1, 2, 3):
+            if committee.mode == "mad":
+                varied = CommitteeConfig(mode="mad", agents=size)
+            else:
+                varied = CommitteeConfig(mode="moa", layer_widths=(size,))
+            expected.append(_oracle_row(size, replace(cfg, committee=varied)))
+        assert list(sweep_ensemble(cfg, [3, 1, 2]).rows) == expected
+
+    def test_one_base_sample_per_harness_call(self, base_sample_calls):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2)
+        for harness, axis in (
+            (sweep_k, [0, 5, 30]),
+            (ablate, ["vlm", "multi_llm", "specfusion"]),
+            (sweep_ensemble, [1, 2, 3]),
+        ):
+            base_sample_calls.clear()
+            harness(cfg, axis)
+            assert len(base_sample_calls) == 1, harness.__name__
 
 
 class TestSerialization:
