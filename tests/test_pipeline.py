@@ -73,6 +73,15 @@ class TestRunCritifusion:
         # default MoA (3,): 3 proposals in decompose + 3 + aggregator
         assert len(rec.transcript) == 7
         assert all(len(entry) == 3 for entry in rec.transcript)
+        assert [(agent, stage) for agent, stage, _ in rec.transcript] == [
+            (1, "decompose_clauses"),
+            (2, "decompose_clauses"),
+            (3, "decompose_clauses"),
+            (1, "aggregate"),
+            (2, "aggregate"),
+            (3, "aggregate"),
+            (0, "aggregate"),
+        ]
 
     def test_mad_committee(self):
         committee = CommitteeConfig(mode="mad", agents=2, rounds=2)
@@ -82,6 +91,15 @@ class TestRunCritifusion:
         assert rec.status == "ok"
         # 2 decompose proposals + 2 * 2 debate + judge
         assert len(backend.calls) == 2 + 2 * 2 + 1
+        assert [(agent, stage) for agent, stage, _ in rec.transcript] == [
+            (1, "decompose_clauses"),
+            (2, "decompose_clauses"),
+            (1, "aggregate"),
+            (2, "aggregate"),
+            (1, "aggregate"),
+            (2, "aggregate"),
+            (0, "aggregate"),
+        ]
 
     def test_blend_mode_runs(self):
         cfg = PipelineConfig(prompt=DEGRADED, seed=0, refine_mode="blend")
@@ -92,6 +110,11 @@ class TestRunCritifusion:
 class FailingBackend:
     def respond(self, agent_id, request):
         raise AgentTransportError("injected outage", status=503, agent_id=agent_id)
+
+
+class CrashingBackend:
+    def respond(self, agent_id, request):
+        raise RuntimeError("not an agent error")
 
 
 class TestFailurePaths:
@@ -111,6 +134,21 @@ class TestFailurePaths:
         rec, _ = run_critifusion(cfg, FailingBackend())
         assert rec.status == "ok"
         assert rec.alignment["final"] > rec.alignment["base"]
+
+    def test_degrade_allow_matches_mock_run(self):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=0, degrade="allow")
+        degraded, _ = run_critifusion(cfg, FailingBackend())
+        healthy, _ = run_critifusion(cfg)
+        assert degraded.transcript == healthy.transcript
+        assert degraded.digests == healthy.digests
+
+    def test_degrade_allow_only_catches_agent_errors(self):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=0, degrade="allow")
+        with pytest.raises(StageFailure) as exc:
+            run_critifusion(cfg, CrashingBackend())
+        assert exc.value.stage == "decompose_clauses"
+        assert isinstance(exc.value.cause, RuntimeError)
+        assert exc.value.record.failed_stage == "decompose_clauses"
 
     def test_unknown_disable_component(self):
         with pytest.raises(SweepConfigError):
