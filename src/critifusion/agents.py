@@ -208,10 +208,8 @@ class HttpAgentBackend:
     """Routes committee calls to a chat-completion endpoint."""
 
     endpoint: AgentEndpoint
-    calls: list = field(default_factory=list)
 
     def respond(self, agent_id: int, request: AgentRequest) -> AgentResponse:
-        self.calls.append((agent_id, request.directive))
         try:
             return http_complete(self.endpoint, request)
         except AgentTransportError as exc:

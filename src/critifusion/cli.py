@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--prompt", default=None, help="prompt override")
-        p.add_argument("-v", "--verbose", action="store_true")
 
     gen = sub.add_parser("generate", help="run the full pipeline from a prompt")
     refine = sub.add_parser("refine", help="refine an existing base latent")
@@ -167,6 +166,8 @@ def inspect(record_path: str) -> int:
             print(f"  alignment: {data['alignment']}")
         if data.get("cadr"):
             print(f"  cadr: {data['cadr']}")
+        if data.get("degraded_calls"):
+            print(f"  degraded_calls: {data['degraded_calls']} (answered by the mock)")
         for name, digest in sorted(data.get("digests", {}).items()):
             sibling = path.parent / LATENT_FILES.get(name, "")
             if not sibling.is_file():

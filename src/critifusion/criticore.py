@@ -89,10 +89,8 @@ class Clause:
 
 @dataclass(frozen=True)
 class CritiqueReport:
-    hints: tuple
     clauses: tuple
     mean_score: float
-    transcript: tuple
 
     def __post_init__(self):
         scores = [c.score for c in self.clauses if c.score is not None]
@@ -232,9 +230,7 @@ def moa_aggregate(instruction: str, committee: CommitteeConfig, backend) -> str:
     return synthesis
 
 
-def score_clauses(
-    clauses, image: LatentField, hints=(), transcript=()
-) -> CritiqueReport:
+def score_clauses(clauses, image: LatentField) -> CritiqueReport:
     """Score every clause as 1 / (1 + MSE) against its unit coefficient."""
     clauses = list(clauses)
     if not clauses:
@@ -245,12 +241,7 @@ def score_clauses(
         mse = (coef - 1.0) ** 2
         scored.append(replace(clause, score=1.0 / (1.0 + mse)))
     mean = sum(c.score for c in scored) / len(scored)
-    return CritiqueReport(
-        hints=tuple(hints),
-        clauses=tuple(scored),
-        mean_score=mean,
-        transcript=tuple(transcript),
-    )
+    return CritiqueReport(clauses=tuple(scored), mean_score=mean)
 
 
 def merge_topk(

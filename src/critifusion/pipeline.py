@@ -139,6 +139,7 @@ class RunRecord:
     alignment: dict = field(default_factory=dict)
     wall_clock: dict = field(default_factory=dict)
     transcript: list = field(default_factory=list)
+    degraded_calls: int = 0
     stages: list = field(default_factory=list)
     status: str = "running"
     failed_stage: str | None = None
@@ -174,32 +175,29 @@ class SweepTable:
         return lines
 
 
-class _MockFallbackBackend:
-    """degrade=allow: a failing remote call falls back to the mock for that slot."""
+class _AgentCalls:
+    """The one path from the committee to the backend; records every call.
 
-    def __init__(self, inner):
-        self._inner = inner
-        self.degraded_calls = 0
+    Each answer lands in the record's transcript under the current stage.
+    With degrade=allow, an AgentError is answered by the mock for that slot
+    and counted in ``record.degraded_calls``.
+    """
+
+    def __init__(self, backend, record: RunRecord, fallback: bool):
+        self.backend = backend
+        self.record = record
+        self.fallback = fallback
+        self.stage = "init"
 
     def respond(self, agent_id, request):
         try:
-            return self._inner.respond(agent_id, request)
+            resp = self.backend.respond(agent_id, request)
         except AgentError:
-            self.degraded_calls += 1
-            return mock_respond(agent_id, request)
-
-
-class _RecordingBackend:
-    """Delegates to the real backend and keeps an ordered transcript."""
-
-    def __init__(self, inner, transcript: list, stage_holder: list):
-        self._inner = inner
-        self._transcript = transcript
-        self._stage = stage_holder
-
-    def respond(self, agent_id, request):
-        resp = self._inner.respond(agent_id, request)
-        self._transcript.append([agent_id, self._stage[0], resp.text])
+            if not self.fallback:
+                raise
+            self.record.degraded_calls += 1
+            resp = mock_respond(agent_id, request)
+        self.record.transcript.append([agent_id, self.stage, resp.text])
         return resp
 
 
@@ -231,26 +229,22 @@ def run_critifusion(
     expected = (config.channels, config.height, config.width)
     if base_latent is not None and base_latent.shape != expected:
         raise LatentError(f"base latent shape {base_latent.shape} is not {expected}")
-    if backend is None:
-        backend = MockAgentBackend()
-    elif config.degrade == "allow" and not isinstance(backend, MockAgentBackend):
-        backend = _MockFallbackBackend(backend)
-
     record = RunRecord(
         config_digest=config.digest(),
         base_seed=config.seed,
         corrective_seed=config.seed + CORRECTIVE_SEED_OFFSET,
         prompt=config.prompt,
     )
-    stage_holder = ["init"]
-    recording = _RecordingBackend(backend, record.transcript, stage_holder)
+    if backend is None:
+        backend = MockAgentBackend()
+    calls = _AgentCalls(backend, record, config.degrade == "allow")
     latents: dict[str, LatentField] = {}
     scale = VaeScale(config.gamma)
     sched = make_schedule(config.steps, config.beta_start, config.beta_end)
     bundle = make_prompt_bundle(config.prompt, config.budget)
 
     def stage(name: str, fn):
-        stage_holder[0] = name
+        calls.stage = name
         start = time.perf_counter()
         try:
             result = fn()
@@ -300,7 +294,7 @@ def run_critifusion(
     else:
         clauses = stage(
             "decompose_clauses",
-            lambda: decompose_clauses(bundle, hints, config.committee, recording),
+            lambda: decompose_clauses(bundle, hints, config.committee, calls),
         )
         instruction = " ".join(
             list(bundle.tokens) + vocab.tokenize(" ".join(hints))
@@ -308,20 +302,15 @@ def run_critifusion(
         if config.committee.mode == "moa":
             aggregated = stage(
                 "aggregate",
-                lambda: moa_aggregate(instruction, config.committee, recording),
+                lambda: moa_aggregate(instruction, config.committee, calls),
             )
         else:
             aggregated = stage(
-                "aggregate", lambda: run_mad(instruction, config.committee, recording)
+                "aggregate", lambda: run_mad(instruction, config.committee, calls)
             )
         clauses = _reorder_by_text(clauses, aggregated)
 
-    report = stage(
-        "score_clauses",
-        lambda: score_clauses(
-            clauses, x_base, hints=hints, transcript=tuple(record.transcript)
-        ),
-    )
+    report = stage("score_clauses", lambda: score_clauses(clauses, x_base))
     record.clause_scores = {str(c.clause_id): c.score for c in report.clauses}
     record.mean_score = report.mean_score
     record.alignment["base"] = report.mean_score

@@ -162,7 +162,12 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [sub + ["--dump-image"] for sub in SWEEPS]
-        + [sub + ["--jobs", "2"] for sub in (["generate"], ["refine"], *SWEEPS)],
+        + [sub + ["--jobs", "2"] for sub in (["generate"], ["refine"], *SWEEPS)]
+        + [
+            sub + [flag]
+            for flag in ("-v", "--verbose")
+            for sub in (["generate"], ["refine"], *SWEEPS)
+        ],
         ids=" ".join,
     )
     def test_unregistered_flag_exit_2(self, tmp_path, cfg_file, argv):
@@ -281,6 +286,21 @@ class TestInspect:
         code = main(["inspect", str(path)])
         assert code == EXIT_OK
         assert "FAILED at stage: decompose_clauses" in capsys.readouterr().out
+
+    def test_degraded_calls_reported(self, tmp_path, capsys):
+        from test_pipeline import FailingBackend
+
+        config = PipelineConfig(prompt="aurora", seed=0, degrade="allow")
+        degraded, _ = run_critifusion(config, FailingBackend())
+        healthy, _ = run_critifusion(config)
+        path = tmp_path / "record.jsonl"
+        write_run_record(healthy, path)
+        assert main(["inspect", str(path)]) == EXIT_OK
+        assert "degraded" not in capsys.readouterr().out
+        write_run_record(degraded, path)
+        assert main(["inspect", str(path)]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert text.count("degraded_calls: 7 (answered by the mock)") == 1
 
     def test_missing_record(self, tmp_path):
         assert main(["inspect", str(tmp_path / "none.jsonl")]) == EXIT_CONFIG

@@ -303,7 +303,7 @@ class TestScoring:
     def test_report_mean_consistency_guard(self):
         clauses = (Clause(0, ("aurora",), "entity", score=0.5),)
         with pytest.raises(ValueError):
-            CritiqueReport(hints=(), clauses=clauses, mean_score=0.9, transcript=())
+            CritiqueReport(clauses=clauses, mean_score=0.9)
 
 
 class TestMergeTopk:

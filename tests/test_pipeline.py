@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from critifusion import pipeline, vocab
-from critifusion.agents import AgentTransportError, MockAgentBackend
+from critifusion.agents import AgentTransportError, MockAgentBackend, mock_respond
 from critifusion.cadr import CadrParams
 from critifusion.criticore import CommitteeConfig
 from critifusion.latents import LatentError, LatentField, read_latent
@@ -112,6 +112,18 @@ class FailingBackend:
         raise AgentTransportError("injected outage", status=503, agent_id=agent_id)
 
 
+class FlakyAgentBackend:
+    """Fails every call to one agent id; the others answer like the mock."""
+
+    def __init__(self, failing_agent):
+        self.failing_agent = failing_agent
+
+    def respond(self, agent_id, request):
+        if agent_id == self.failing_agent:
+            raise AgentTransportError("injected outage", status=503, agent_id=agent_id)
+        return mock_respond(agent_id, request)
+
+
 class CrashingBackend:
     def respond(self, agent_id, request):
         raise RuntimeError("not an agent error")
@@ -141,6 +153,27 @@ class TestFailurePaths:
         healthy, _ = run_critifusion(cfg)
         assert degraded.transcript == healthy.transcript
         assert degraded.digests == healthy.digests
+        # default MoA (3,): 3 decompose calls, 3 proposers and the aggregator
+        assert degraded.degraded_calls == 7
+        assert healthy.degraded_calls == 0
+
+    def test_degrade_allow_counts_only_failed_calls(self):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=0, degrade="allow")
+        rec, _ = run_critifusion(cfg, FlakyAgentBackend(failing_agent=2))
+        # agent 2 is called once in decompose_clauses and once in aggregate
+        assert rec.degraded_calls == 2
+        healthy, _ = run_critifusion(cfg)
+        assert rec.transcript == healthy.transcript
+
+    def test_degrade_abort_counts_no_fallback(self):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=0)
+        with pytest.raises(StageFailure) as exc:
+            run_critifusion(cfg, FlakyAgentBackend(failing_agent=2))
+        assert exc.value.record.degraded_calls == 0
+        # agent 1 answered before agent 2 failed
+        assert [entry[:2] for entry in exc.value.record.transcript] == [
+            [1, "decompose_clauses"]
+        ]
 
     def test_degrade_allow_only_catches_agent_errors(self):
         cfg = PipelineConfig(prompt=DEGRADED, seed=0, degrade="allow")
@@ -361,6 +394,12 @@ class TestSerialization:
         loaded = read_records(path)
         assert len(loaded) == 2
         assert RunRecord.from_dict(loaded[0]).to_dict() == rec.to_dict()
+
+    def test_record_without_degraded_calls_loads(self):
+        rec, _ = run_critifusion(PipelineConfig(prompt=DEGRADED, seed=9))
+        data = json.loads(rec.to_json_line())
+        del data["degraded_calls"]
+        assert RunRecord.from_dict(data).degraded_calls == 0
 
     def test_stable_key_order(self):
         rec, _ = run_critifusion(PipelineConfig(prompt=DEGRADED, seed=9))
