@@ -45,7 +45,6 @@ def synthesize_target(
     weights: np.ndarray, channels: int, height: int, width: int
 ) -> np.ndarray:
     """C x H x W mixture of basis patterns, identical across channels."""
-    _check_toy_dims(height, width)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (N_BASIS,):
         raise ValueError(f"weights must have length {N_BASIS}")

@@ -8,7 +8,6 @@ output file lands under the --out directory.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .pipeline import (
     StageFailure,
     SweepConfigError,
     ablate,
+    read_records,
     run_critifusion,
     sweep_ensemble,
     sweep_k,
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (gen, refine):
         common(p)
         p.add_argument("--dump-image", action="store_true", help="write a PPM preview")
-    refine.add_argument("--latent", default=None, help="base latent file (CRTFLAT1)")
+    refine.add_argument("--latent", required=True, help="base latent file (CRTFLAT1)")
     sweep = sub.add_parser("sweep-k", help="sweep the corrective step count")
     common(sweep)
     sweep.add_argument("--k", required=True, help="comma-separated k values")
@@ -90,8 +90,9 @@ def _int_list(raw: str):
         raise SweepConfigError(f"bad integer list {raw!r}") from exc
 
 
-def _run_single(args, base_latent=None) -> int:
+def _run_single(args) -> int:
     config, endpoint = _load(args)
+    base_latent = read_latent(args.latent) if args.subcommand == "refine" else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     backend = _make_backend(config, endpoint)
@@ -143,16 +144,14 @@ def inspect(record_path: str) -> int:
     path = Path(record_path)
     if not path.is_file():
         raise ConfigError(f"record file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
+    try:
+        records = read_records(path)
+    except ValueError as exc:
+        raise ConfigError(f"malformed record line: {exc}") from exc
+    if not records:
         raise ConfigError(f"empty record file: {path}")
     exit_code = EXIT_OK
-    for line in lines:
-        try:
-            data = json.loads(line)
-        except ValueError as exc:
-            raise ConfigError(f"malformed record line: {exc}") from exc
+    for data in records:
         if data.get("kind") != "run_record":
             print(f"skipping non-run line of kind {data.get('kind')!r}")
             continue
@@ -191,12 +190,7 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "inspect":
             return inspect(args.record)
-        if args.subcommand == "refine":
-            base = None
-            if args.latent is not None:
-                base = read_latent(args.latent)
-            return _run_single(args, base_latent=base)
-        if args.subcommand == "generate":
+        if args.subcommand in ("generate", "refine"):
             return _run_single(args)
         return _run_sweep(args)
     except (ConfigError, SweepConfigError) as exc:

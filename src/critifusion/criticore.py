@@ -54,11 +54,9 @@ class PromptBundle:
         return " ".join(self.tokens)
 
 
-def make_prompt_bundle(
-    text: str, budget: int = DEFAULT_BUDGET, base_salience: float = 0.5
-) -> PromptBundle:
+def make_prompt_bundle(text: str, budget: int = DEFAULT_BUDGET) -> PromptBundle:
     tokens = vocab.tokenize(text)[:budget]
-    return PromptBundle(tuple(tokens), tuple(base_salience for _ in tokens), budget)
+    return PromptBundle(tuple(tokens), (0.5,) * len(tokens), budget)
 
 
 def conditioning_from_prompt(
@@ -159,13 +157,18 @@ def clauses_for(indices) -> list[Clause]:
     ]
 
 
+def committee_instruction(prompt: PromptBundle, hints) -> str:
+    """The prompt's tokens followed by the hints' tokens, space-joined."""
+    return " ".join(list(prompt.tokens) + vocab.tokenize(" ".join(hints)))
+
+
 def decompose_clauses(
     prompt: PromptBundle, hints, committee: CommitteeConfig, backend
 ) -> list[Clause]:
     """Fan the instruction out to the committee proposers; union the clauses."""
     if not prompt.tokens:
         raise EmptyInputError("prompt has no tokens")
-    instruction = " ".join(list(prompt.tokens) + vocab.tokenize(" ".join(hints)))
+    instruction = committee_instruction(prompt, hints)
     seen: list[int] = []
     for agent_id in range(1, committee.width + 1):
         resp = backend.respond(agent_id, make_request("propose", instruction))
@@ -244,9 +247,7 @@ def score_clauses(clauses, image: LatentField) -> CritiqueReport:
     return CritiqueReport(clauses=tuple(scored), mean_score=mean)
 
 
-def merge_topk(
-    base: PromptBundle, clauses, k_edit: int, budget: int | None = None
-) -> PromptBundle:
+def merge_topk(base: PromptBundle, clauses, k_edit: int) -> PromptBundle:
     """Append the k_edit lowest-scoring clauses, then enforce the budget.
 
     Over budget, appended tokens that duplicate an earlier token are
@@ -255,7 +256,7 @@ def merge_topk(
     """
     if k_edit < 0:
         raise ValueError("k_edit must be >= 0")
-    K = base.budget if budget is None else budget
+    K = base.budget
     scored = [c for c in clauses if c.score is not None]
     scored.sort(key=lambda c: (c.score, c.clause_id))
     selected = scored[:k_edit]

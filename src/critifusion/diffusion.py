@@ -24,6 +24,8 @@ from .latents import (
 
 SAMPLERS = ("ddim", "ddpm")
 REFINE_MODES = ("img2img", "blend")
+# The corrective pass draws its noise from the (seed + offset, 0) stream.
+CORRECTIVE_SEED_OFFSET = 999
 
 
 class ScheduleError(ValueError):
@@ -63,7 +65,6 @@ class Conditioning:
 
     embedding: np.ndarray
     guidance_scale: float = 0.0
-    is_null: bool = False
 
     def __post_init__(self):
         emb = np.asarray(self.embedding, dtype=np.float64)
@@ -77,7 +78,8 @@ class Conditioning:
 
 
 def null_conditioning() -> Conditioning:
-    return Conditioning(np.zeros(N_BASIS), 0.0, is_null=True)
+    """CFG's unconditional branch: the zero embedding."""
+    return Conditioning(np.zeros(N_BASIS))
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,7 @@ def target_field(
     cond: Conditioning, channels: int, height: int, width: int
 ) -> LatentField:
     """The fixed point the toy chain converges to under ``cond``."""
-    if cond.is_null:
-        values = np.zeros((channels, height, width), dtype=np.float32)
-    else:
-        values = synthesize_target(cond.embedding, channels, height, width)
+    values = synthesize_target(cond.embedding, channels, height, width)
     return LatentField(channels, height, width, values)
 
 
@@ -137,23 +136,20 @@ def toy_denoiser(
     """Exact noise prediction pulling toward the conditioning's pattern.
 
     Returns (z_t - sqrt(abar_t) * anchor) / sqrt(1 - abar_t) where the
-    anchor is the zero field for null conditioning and otherwise
-    target / (1 + w).  The 1/(1+w) factor pre-compensates classifier-free
-    guidance: the (1+w)/-w combination of the conditional and null branches
-    reproduces the unscaled target, so the guided chain converges to
-    target(cond) for every guidance scale.
+    anchor is target / (1 + w), zero for the zero (null) embedding.  The
+    1/(1+w) factor pre-compensates classifier-free guidance: the (1+w)/-w
+    combination of the conditional and null branches reproduces the
+    unscaled target, so the guided chain converges to target(cond) for
+    every guidance scale.
     """
     if not (0 <= t < sched.steps):
         raise StepRangeError(f"t must be in [0, {sched.steps}), got {t}")
     abar = float(sched.alpha_bar[t])
     if abar >= 1.0:
         raise DegenerateStepError("alpha_bar == 1: nothing to predict")
-    if cond.is_null:
-        anchor = 0.0
-    else:
-        anchor = target_field(
-            cond, z_t.channels, z_t.height, z_t.width
-        ).values.astype(np.float64) / (1.0 + cond.guidance_scale)
+    anchor = target_field(
+        cond, z_t.channels, z_t.height, z_t.width
+    ).values.astype(np.float64) / (1.0 + cond.guidance_scale)
     eps = (z_t.values.astype(np.float64) - np.sqrt(abar) * anchor) / np.sqrt(
         1.0 - abar
     )
@@ -234,10 +230,8 @@ def ddpm_step(
 # intermediate stays non-finite until the end.
 
 
-def _anchor(cond: Conditioning, w: float, shape) -> np.ndarray | None:
-    """toy_denoiser's anchor target / (1 + w); None for null conditioning."""
-    if cond.is_null:
-        return None
+def _anchor(cond: Conditioning, w: float, shape) -> np.ndarray:
+    """toy_denoiser's anchor target / (1 + w)."""
     return synthesize_target(cond.embedding, *shape) / (1.0 + w)
 
 
@@ -252,12 +246,9 @@ def _abar_pair(sched: VarianceSchedule, t: int) -> tuple[float, float]:
 def _guided_eps_into(eps, scratch, z, anchor, w: float, abar: float) -> None:
     """eps <- (1 + w) * eps_cond - w * eps_null, both from toy_denoiser."""
     sd = np.sqrt(1.0 - abar)
-    if anchor is None:
-        np.divide(z, sd, out=eps)
-    else:
-        np.multiply(anchor, np.sqrt(abar), out=eps)
-        np.subtract(z, eps, out=eps)
-        np.divide(eps, sd, out=eps)
+    np.multiply(anchor, np.sqrt(abar), out=eps)
+    np.subtract(z, eps, out=eps)
+    np.divide(eps, sd, out=eps)
     np.divide(z, sd, out=scratch)
     np.multiply(eps, 1.0 + w, out=eps)
     np.multiply(scratch, w, out=scratch)
@@ -357,9 +348,10 @@ def img2img_refine(
     Builds a T'-step schedule from the base schedule's beta endpoints,
     maps lambda to k = round(lambda * T') (or uses ``forced_k``), derives
     (strength, t0) through strength_to_start, forward-noises z_base with
-    the first noise field of the Philox stream (seed + 999, 0), and runs
-    the remaining reverse steps as deterministic DDIM (eta = 0) updates,
-    whatever sampler drew z_base, with CFG scale w = max(g - 1, 0).
+    the first noise field of the Philox stream (seed +
+    CORRECTIVE_SEED_OFFSET, 0), and runs the remaining reverse steps as
+    deterministic DDIM (eta = 0) updates, whatever sampler drew z_base,
+    with CFG scale w = max(g - 1, 0).
     T' == 0 returns z_base unchanged.
     In ``blend`` mode the update is the per-step convex combination
     (1 - a) * z + a * step(z) + sqrt(beta_t) * eps with a = lambda, run
@@ -374,7 +366,7 @@ def img2img_refine(
     sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
     w = max(float(params.g) - 1.0, 0.0)
     anchor = _anchor(cond, w, z_base.shape)
-    corr_seed = seed + 999
+    corr_seed = seed + CORRECTIVE_SEED_OFFSET
 
     if mode == "blend":
         alpha = float(params.lam)
@@ -399,8 +391,6 @@ def img2img_refine(
         k = forced_k
     sm = strength_to_start(k, T_prime)
     t_start = T_prime - sm.t0
-    if t_start <= 0:
-        return z_base
     abar = float(sub.alpha_bar[t_start - 1])
     renoise = _gaussian_stream(corr_seed, z_base.values.size).astype(np.float32)
     z = np.sqrt(abar) * z_base.values

@@ -69,7 +69,7 @@ class LatentField:
 
     def __post_init__(self):
         _check_dims(self.channels, self.height, self.width)
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)
         if arr.shape != (self.channels, self.height, self.width):
             raise LatentError(
                 f"values shape {arr.shape} does not match "
@@ -77,7 +77,6 @@ class LatentField:
             )
         if not np.all(np.isfinite(arr)):
             raise LatentError("latent values must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -87,16 +86,6 @@ class LatentField:
 
     def with_values(self, values: np.ndarray) -> "LatentField":
         return LatentField(self.channels, self.height, self.width, values)
-
-
-@dataclass(frozen=True)
-class ChannelStats:
-    """Per-channel min/max/mean/population-variance of a LatentField."""
-
-    minimum: tuple[float, ...]
-    maximum: tuple[float, ...]
-    mean: tuple[float, ...]
-    variance: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -166,19 +155,6 @@ def apply_vae_scale(field: LatentField, scale: VaeScale, direction: str) -> Late
     else:
         raise LatentError(f"direction must be 'encode' or 'decode', got {direction!r}")
     return field.with_values(out)
-
-
-def latent_stats(field: LatentField) -> ChannelStats:
-    """Exact per-channel min/max/mean/population-variance (64-bit accumulation)."""
-    v = field.values.astype(np.float64).reshape(field.channels, -1)
-    mean = v.mean(axis=1)
-    var = np.mean((v - mean[:, None]) ** 2, axis=1)
-    return ChannelStats(
-        minimum=tuple(v.min(axis=1)),
-        maximum=tuple(v.max(axis=1)),
-        mean=tuple(mean),
-        variance=tuple(var),
-    )
 
 
 def write_latent(field: LatentField, sink) -> None:

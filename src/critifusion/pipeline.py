@@ -13,9 +13,11 @@ from .agents import AgentError, MockAgentBackend, mock_respond
 from .basis import _check_toy_dims
 from .cadr import CadrConfig, CadrParams, cadr_from_alignment
 from .criticore import (
+    DEFAULT_BUDGET,
     Clause,
     CommitteeConfig,
     clauses_for,
+    committee_instruction,
     conditioning_from_prompt,
     decompose_clauses,
     make_prompt_bundle,
@@ -26,6 +28,7 @@ from .criticore import (
     vlm_hints,
 )
 from .diffusion import (
+    CORRECTIVE_SEED_OFFSET,
     REFINE_MODES,
     SAMPLERS,
     base_sample,
@@ -36,7 +39,6 @@ from .latents import LatentError, LatentField, VaeScale, _check_dims
 from .latents import apply_vae_scale, latent_digest
 from .spectral import TaperSpec, spec_fuse
 
-CORRECTIVE_SEED_OFFSET = 999
 STAGES = (
     "base_sample",
     "decode",
@@ -87,7 +89,7 @@ class PipelineConfig:
     refine_mode: str = "img2img"
     base_guidance: float = 0.0
     seed: int = 0
-    budget: int = 77
+    budget: int = DEFAULT_BUDGET
     taper: float = 0.10
     clamp: bool = True
     committee: CommitteeConfig = field(default_factory=CommitteeConfig)
@@ -296,9 +298,7 @@ def run_critifusion(
             "decompose_clauses",
             lambda: decompose_clauses(bundle, hints, config.committee, calls),
         )
-        instruction = " ".join(
-            list(bundle.tokens) + vocab.tokenize(" ".join(hints))
-        )
+        instruction = committee_instruction(bundle, hints)
         if config.committee.mode == "moa":
             aggregated = stage(
                 "aggregate",
@@ -366,8 +366,12 @@ def run_critifusion(
     record.digests["z_ref"] = latent_digest(z_ref)
     record.digests["z_fused"] = latent_digest(z_fused)
 
-    x_final = stage("decode_final", lambda: apply_vae_scale(z_fused, scale, "decode"))
-    final_report = score_clauses(report.clauses, x_final)
+    final_report = stage(
+        "decode_final",
+        lambda: score_clauses(
+            report.clauses, apply_vae_scale(z_fused, scale, "decode")
+        ),
+    )
     record.alignment["final"] = final_report.mean_score
     record.status = "ok"
     return record, latents
@@ -401,8 +405,11 @@ def sweep_k(config: PipelineConfig, k_values, backend=None) -> SweepTable:
 
     T' is pinned to its maximum so every requested k fits one common
     schedule; the remaining corrective parameters come from a single probe
-    run.  k = 0 skips the corrective pass entirely.
+    run.  k = 0 skips the corrective pass entirely.  Blend refinement
+    ignores k, so it is rejected.
     """
+    if config.refine_mode != "img2img":
+        raise SweepConfigError("sweep_k needs refine_mode = img2img")
     k_values = list(k_values)
     if not k_values:
         raise SweepConfigError("no k values")
@@ -482,12 +489,23 @@ def write_sweep_table(table: SweepTable, path) -> None:
 
 
 def read_records(path) -> list[dict]:
+    """The JSON objects of a record file, one per nonblank line.
+
+    Raises ValueError for a line that is not a JSON object, or a run record
+    without ``status``, ``base_seed`` or ``stages``.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            data = json.loads(line)
+            if not isinstance(data, dict):
+                raise ValueError(f"line {lineno}: not a JSON object")
+            missing = {"status", "base_seed", "stages"} - set(data)
+            if data.get("kind") == "run_record" and missing:
+                raise ValueError(f"line {lineno}: run record lacks {sorted(missing)}")
+            out.append(data)
     return out
 
 

@@ -101,8 +101,15 @@ class TestErrors:
     def test_missing_config_exit_2_no_outputs(self, tmp_path):
         out = tmp_path / "nope"
         code = main(
-            ["refine", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]
+            ["refine", "--config", str(tmp_path / "missing.cfg"), "--out", str(out),
+             "--latent", str(tmp_path / "z_base.crtf")]
         )
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_refine_without_latent_exit_2(self, tmp_path, cfg_file):
+        out = tmp_path / "o"
+        code = main(["refine", "--config", str(cfg_file), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
 
@@ -172,6 +179,9 @@ class TestErrors:
     )
     def test_unregistered_flag_exit_2(self, tmp_path, cfg_file, argv):
         out = tmp_path / "o"
+        if argv[0] == "refine":
+            # so that only the flag under test is wrong
+            argv = argv + ["--latent", str(tmp_path / "z_base.crtf")]
         code = main(argv + ["--config", str(cfg_file), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
@@ -199,6 +209,16 @@ class TestSweeps:
         assert code == EXIT_OK
         rows = (out / "sweep.jsonl").read_text().splitlines()
         assert len(rows) == 4
+
+    def test_sweep_k_blend_exit_2_no_rows(self, tmp_path):
+        cfg = tmp_path / "blend.cfg"
+        cfg.write_text("prompt = aurora\nrefine_mode = blend\n", encoding="utf-8")
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep-k", "--config", str(cfg), "--out", str(out), "--k", "0,15,30"]
+        )
+        assert code == EXIT_CONFIG
+        assert not (out / "sweep.jsonl").exists()
 
     def test_sweep_ensemble(self, tmp_path, cfg_file):
         out = tmp_path / "ens"
@@ -304,3 +324,12 @@ class TestInspect:
 
     def test_missing_record(self, tmp_path):
         assert main(["inspect", str(tmp_path / "none.jsonl")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "line", ['{"kind": "run_record"}', "[1, 2]"], ids=["no_status", "not_object"]
+    )
+    def test_malformed_line_exit_2(self, tmp_path, capsys, line):
+        path = tmp_path / "record.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert main(["inspect", str(path)]) == EXIT_CONFIG
+        assert "malformed record line" in capsys.readouterr().err

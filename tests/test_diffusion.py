@@ -445,7 +445,7 @@ def ref_refine(z_base, cond, params, sched, seed, mode):
     T_prime = params.T_prime
     sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
     w = max(params.g - 1.0, 0.0)
-    guided = Conditioning(cond.embedding, w, is_null=cond.is_null)
+    guided = Conditioning(cond.embedding, w)
     c, h, wd = z_base.shape
     noises = ref_noise_fields(seed + 999, 0, T_prime, c, h, wd)
     if mode == "blend":
@@ -469,7 +469,7 @@ def ref_refine(z_base, cond, params, sched, seed, mode):
 
 def conditioning(kind, w):
     if kind == "null":
-        return Conditioning(np.zeros(16), w, is_null=True)
+        return Conditioning(np.zeros(16), w)
     return Conditioning(embedding(1, 6, 11), w)
 
 

@@ -1,4 +1,4 @@
-"""Latent tensor, sampling, scaling, stats, and serialization tests.
+"""Latent tensor, sampling, scaling, and serialization tests.
 
 Statistical values are cross-checked against independent second-pass
 recomputations (math.fsum accumulations) rather than the library's own
@@ -27,7 +27,6 @@ from critifusion.latents import (
     gaussian_chunks,
     latent_bytes,
     latent_digest,
-    latent_stats,
     read_latent,
     sample_gaussian_latent,
     write_latent,
@@ -128,36 +127,6 @@ class TestVaeScale:
             apply_vae_scale(f, VaeScale(gamma), "encode"), VaeScale(gamma), "decode"
         )
         assert np.abs(back.values - f.values).max() < 1e-6
-
-
-class TestStats:
-    def test_hand_case(self):
-        s = latent_stats(make_field([0.0, 1.0, 2.0, 3.0]))
-        assert s.minimum == (0.0,)
-        assert s.maximum == (3.0,)
-        assert s.mean == (1.5,)
-        assert s.variance == (1.25,)
-
-    def test_constant(self):
-        s = latent_stats(make_field([5.0] * 4))
-        assert s.minimum == s.maximum == s.mean == (5.0,)
-        assert s.variance == (0.0,)
-
-    def test_against_independent_recomputation(self):
-        f = sample_gaussian_latent(1, 32, 32, 42)
-        s = latent_stats(f)
-        flat = [float(v) for v in f.values.ravel()]
-        mean = math.fsum(flat) / len(flat)
-        var = math.fsum((v - mean) ** 2 for v in flat) / len(flat)
-        assert s.minimum[0] == min(flat)
-        assert s.maximum[0] == max(flat)
-        assert abs(s.mean[0] - mean) < 1e-12
-        assert abs(s.variance[0] - var) < 1e-12
-
-    def test_order_invariant(self):
-        f = make_field([3.0, -1.0, 0.5, 2.0])
-        s = latent_stats(f)
-        assert s.minimum[0] <= s.mean[0] <= s.maximum[0]
 
 
 class TestSerialization:

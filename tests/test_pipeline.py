@@ -189,6 +189,27 @@ class TestFailurePaths:
                 PipelineConfig(prompt=DEGRADED), disable=frozenset({"magic"})
             )
 
+    def test_final_scoring_failure_is_a_decode_final_stage_failure(self, monkeypatch):
+        calls = []
+        original = pipeline.score_clauses
+
+        def failing_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("injected scoring failure")
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "score_clauses", failing_second_call)
+        with pytest.raises(StageFailure) as exc:
+            run_critifusion(PipelineConfig(prompt=DEGRADED, seed=0))
+        record = exc.value.record
+        assert exc.value.stage == "decode_final"
+        assert record.status == "failed"
+        assert record.failed_stage == "decode_final"
+        assert "final" not in record.alignment
+        assert "decode_final" in record.wall_clock
+        assert tuple(record.stages) == STAGES[:-1]
+
     @pytest.mark.parametrize("shape", [(3, 64, 64), (4, 32, 64), (4, 64, 32)])
     def test_base_latent_shape_must_match_config(self, shape):
         base = LatentField(*shape, np.zeros(shape))
@@ -225,6 +246,13 @@ class TestSweepK:
     def test_empty_rejected_before_any_run(self, base_sample_calls):
         with pytest.raises(SweepConfigError):
             sweep_k(PipelineConfig(prompt=DEGRADED), [])
+        assert base_sample_calls == []
+
+    def test_blend_rejected_before_any_run(self, base_sample_calls):
+        # blend refinement ignores k, so every k > 0 row would be one run
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2, refine_mode="blend")
+        with pytest.raises(SweepConfigError, match="img2img"):
+            sweep_k(cfg, [0, 5, 15, 30])
         assert base_sample_calls == []
 
 
