@@ -142,12 +142,16 @@ class MockAgentBackend:
         return mock_respond(agent_id, request)
 
 
-def http_complete(endpoint: AgentEndpoint, request: AgentRequest) -> AgentResponse:
+def http_complete(
+    endpoint: AgentEndpoint, request: AgentRequest, session=requests
+) -> AgentResponse:
     """One chat completion with bounded retries.
 
     Transient failures (connection errors, timeouts, 429/5xx) retry with
     exponential backoff up to max_retries; total attempts never exceed
-    max_retries + 1.  Other HTTP statuses fail immediately.
+    max_retries + 1.  Other HTTP statuses fail immediately.  A
+    ``requests.Session`` as ``session`` keeps connections open across calls;
+    the default opens one per attempt.
     """
     payload = {
         "model": endpoint.model_id,
@@ -167,7 +171,7 @@ def http_complete(endpoint: AgentEndpoint, request: AgentRequest) -> AgentRespon
             time.sleep(endpoint.backoff * (2 ** (attempt - 1)))
         start = time.monotonic()
         try:
-            resp = requests.post(
+            resp = session.post(
                 url, json=payload, headers=headers, timeout=endpoint.timeout
             )
         except requests.Timeout:
@@ -205,13 +209,19 @@ def http_complete(endpoint: AgentEndpoint, request: AgentRequest) -> AgentRespon
 
 @dataclass
 class HttpAgentBackend:
-    """Routes committee calls to a chat-completion endpoint."""
+    """Routes committee calls to a chat-completion endpoint.
+
+    All calls share one ``requests.Session``, so they reuse its connections.
+    """
 
     endpoint: AgentEndpoint
+    session: requests.Session = field(
+        default_factory=requests.Session, repr=False, compare=False
+    )
 
     def respond(self, agent_id: int, request: AgentRequest) -> AgentResponse:
         try:
-            return http_complete(self.endpoint, request)
+            return http_complete(self.endpoint, request, self.session)
         except AgentTransportError as exc:
             exc.agent_id = agent_id
             raise

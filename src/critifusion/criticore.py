@@ -162,16 +162,30 @@ def committee_instruction(prompt: PromptBundle, hints) -> str:
     return " ".join(list(prompt.tokens) + vocab.tokenize(" ".join(hints)))
 
 
+def ask_all(backend, calls) -> list:
+    """The answers to one round of ``(agent_id, request)`` calls, in order.
+
+    A backend with ``respond_all`` gets the whole round at once; any other
+    backend is asked one call after another through ``respond``.
+    """
+    respond_all = getattr(backend, "respond_all", None)
+    if respond_all is not None:
+        return respond_all(calls)
+    return [backend.respond(agent_id, request) for agent_id, request in calls]
+
+
 def decompose_clauses(
     prompt: PromptBundle, hints, committee: CommitteeConfig, backend
 ) -> list[Clause]:
     """Fan the instruction out to the committee proposers; union the clauses."""
     if not prompt.tokens:
         raise EmptyInputError("prompt has no tokens")
-    instruction = committee_instruction(prompt, hints)
+    request = make_request("propose", committee_instruction(prompt, hints))
+    answers = ask_all(
+        backend, [(agent_id, request) for agent_id in range(1, committee.width + 1)]
+    )
     seen: list[int] = []
-    for agent_id in range(1, committee.width + 1):
-        resp = backend.respond(agent_id, make_request("propose", instruction))
+    for resp in answers:
         for j in vocab.descriptor_indices(vocab.tokenize(resp.text)):
             if j not in seen:
                 seen.append(j)
@@ -182,7 +196,7 @@ def mad_round(state, committee: CommitteeConfig, backend, instruction: str):
     """One debate round: each agent sees all other agents' prior outputs."""
     if committee.mode != "mad":
         raise CommitteeConfigError("mad_round requires MAD mode")
-    outputs = []
+    calls = []
     for i in range(1, committee.agents + 1):
         context_lines = [
             f"agent {j}: {state[j - 1]}"
@@ -190,9 +204,8 @@ def mad_round(state, committee: CommitteeConfig, backend, instruction: str):
             if j != i and state[j - 1]
         ]
         text = "\n".join([instruction] + context_lines)
-        resp = backend.respond(i, make_request("propose", text))
-        outputs.append(resp.text)
-    return outputs
+        calls.append((i, make_request("propose", text)))
+    return [resp.text for resp in ask_all(backend, calls)]
 
 
 def judge(candidates, backend) -> str:
@@ -223,11 +236,10 @@ def moa_aggregate(instruction: str, committee: CommitteeConfig, backend) -> str:
         raise CommitteeConfigError("moa_aggregate requires MoA mode")
     synthesis = instruction
     for width in committee.layer_widths:
-        candidates = []
-        for j in range(1, width + 1):
-            text = instruction if synthesis == instruction else f"{instruction}\n{synthesis}"
-            resp = backend.respond(j, make_request("propose", text))
-            candidates.append(resp.text)
+        text = instruction if synthesis == instruction else f"{instruction}\n{synthesis}"
+        request = make_request("propose", text)
+        answers = ask_all(backend, [(j, request) for j in range(1, width + 1)])
+        candidates = [resp.text for resp in answers]
         agg = backend.respond(0, make_request("aggregate", " ".join(candidates)))
         synthesis = agg.text
     return synthesis

@@ -1,6 +1,7 @@
 """Mock backend purity and the HTTP client's retry/timeout/auth contracts,
 exercised against a local stub server."""
 
+import contextlib
 import json
 import threading
 import time
@@ -113,19 +114,26 @@ def make_handler(state: StubState):
     return Handler
 
 
-@pytest.fixture()
-def stub():
-    state = StubState()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(state))
+@contextlib.contextmanager
+def serve(handler):
+    """Serve ``handler`` on a free local port; yields the base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
     )
     thread.start()
     try:
-        yield state, f"http://127.0.0.1:{server.server_address[1]}"
+        yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture()
+def stub():
+    state = StubState()
+    with serve(make_handler(state)) as url:
+        yield state, url
 
 
 def endpoint(url, **kw):
@@ -208,6 +216,29 @@ class TestHttpClient:
         with pytest.raises(AgentTransportError) as exc:
             backend.respond(4, make_request("propose", "x"))
         assert exc.value.agent_id == 4
+
+    def test_backend_reuses_one_connection(self):
+        accepted = []
+
+        class KeepAliveHandler(make_handler(StubState())):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                accepted.append(self.client_address)
+
+        with serve(KeepAliveHandler) as url:
+            backend = HttpAgentBackend(endpoint(url))
+            try:
+                for agent_id in (1, 2, 3):
+                    resp = backend.respond(agent_id, make_request("propose", "x"))
+                    assert resp.text == "echo: x"
+            finally:
+                backend.session.close()
+            assert len(accepted) == 1
+            # without a session, each call opens its own connection
+            assert http_complete(endpoint(url), make_request("propose", "y")).text == "echo: y"
+            assert len(accepted) == 2
 
     def test_endpoint_validation(self):
         with pytest.raises(ValueError):

@@ -326,10 +326,17 @@ class TestInspect:
         assert main(["inspect", str(tmp_path / "none.jsonl")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "line", ['{"kind": "run_record"}', "[1, 2]"], ids=["no_status", "not_object"]
+        "lines, message",
+        [
+            (['{"kind": "run_record"}'], "line 1: run record lacks"),
+            (["[1, 2]"], "line 1: not a JSON object"),
+            (['{"kind": "sweep_row"}', '{"kind": "sweep_row"}', "not json"],
+             "line 3: not JSON"),
+        ],
+        ids=["no_status", "not_object", "not_json"],
     )
-    def test_malformed_line_exit_2(self, tmp_path, capsys, line):
+    def test_malformed_line_exit_2(self, tmp_path, capsys, lines, message):
         path = tmp_path / "record.jsonl"
-        path.write_text(line + "\n", encoding="utf-8")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["inspect", str(path)]) == EXIT_CONFIG
-        assert "malformed record line" in capsys.readouterr().err
+        assert f"malformed record line: {message}" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """End-to-end orchestration, provenance records, and sweep harnesses."""
 
 import json
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +34,56 @@ DEGRADED = "aurora"          # committee restores the paired "basalt"
 COMPLETE = "aurora basalt"   # closed under enrichment -> skip path
 
 
-class TestRunCritifusion:
+class CommitteeRows:
+    """Committee tests that an ``OverHttp`` subclass reruns over http.
+
+    ``agent_backend = http`` fans each committee round out on threads; the
+    assertions are the mock rows' own, so both paths must give the same
+    records.
+    """
+
+    agent_backend = "mock"
+
+    def config(self, **kwargs):
+        return PipelineConfig(agent_backend=self.agent_backend, **kwargs)
+
+
+class RunCommitteeTests(CommitteeRows):
+    def test_transcript_recorded(self):
+        rec, _ = run_critifusion(self.config(prompt=DEGRADED, seed=0))
+        # default MoA (3,): 3 proposals in decompose + 3 + aggregator
+        assert len(rec.transcript) == 7
+        assert all(len(entry) == 3 for entry in rec.transcript)
+        assert [(agent, stage) for agent, stage, _ in rec.transcript] == [
+            (1, "decompose_clauses"),
+            (2, "decompose_clauses"),
+            (3, "decompose_clauses"),
+            (1, "aggregate"),
+            (2, "aggregate"),
+            (3, "aggregate"),
+            (0, "aggregate"),
+        ]
+
+    def test_mad_committee(self):
+        committee = CommitteeConfig(mode="mad", agents=2, rounds=2)
+        cfg = self.config(prompt=DEGRADED, seed=0, committee=committee)
+        backend = MockAgentBackend()
+        rec, _ = run_critifusion(cfg, backend)
+        assert rec.status == "ok"
+        # 2 decompose proposals + 2 * 2 debate + judge
+        assert len(backend.calls) == 2 + 2 * 2 + 1
+        assert [(agent, stage) for agent, stage, _ in rec.transcript] == [
+            (1, "decompose_clauses"),
+            (2, "decompose_clauses"),
+            (1, "aggregate"),
+            (2, "aggregate"),
+            (1, "aggregate"),
+            (2, "aggregate"),
+            (0, "aggregate"),
+        ]
+
+
+class TestRunCritifusion(RunCommitteeTests):
     def test_skip_path(self):
         rec, lat = run_critifusion(PipelineConfig(prompt=COMPLETE, seed=1))
         assert rec.cadr["T_prime"] == 0
@@ -68,43 +119,14 @@ class TestRunCritifusion:
         assert rec.corrective_seed == 123 + 999
         assert rec.base_seed == 123
 
-    def test_transcript_recorded(self):
-        rec, _ = run_critifusion(PipelineConfig(prompt=DEGRADED, seed=0))
-        # default MoA (3,): 3 proposals in decompose + 3 + aggregator
-        assert len(rec.transcript) == 7
-        assert all(len(entry) == 3 for entry in rec.transcript)
-        assert [(agent, stage) for agent, stage, _ in rec.transcript] == [
-            (1, "decompose_clauses"),
-            (2, "decompose_clauses"),
-            (3, "decompose_clauses"),
-            (1, "aggregate"),
-            (2, "aggregate"),
-            (3, "aggregate"),
-            (0, "aggregate"),
-        ]
-
-    def test_mad_committee(self):
-        committee = CommitteeConfig(mode="mad", agents=2, rounds=2)
-        cfg = PipelineConfig(prompt=DEGRADED, seed=0, committee=committee)
-        backend = MockAgentBackend()
-        rec, _ = run_critifusion(cfg, backend)
-        assert rec.status == "ok"
-        # 2 decompose proposals + 2 * 2 debate + judge
-        assert len(backend.calls) == 2 + 2 * 2 + 1
-        assert [(agent, stage) for agent, stage, _ in rec.transcript] == [
-            (1, "decompose_clauses"),
-            (2, "decompose_clauses"),
-            (1, "aggregate"),
-            (2, "aggregate"),
-            (1, "aggregate"),
-            (2, "aggregate"),
-            (0, "aggregate"),
-        ]
-
     def test_blend_mode_runs(self):
         cfg = PipelineConfig(prompt=DEGRADED, seed=0, refine_mode="blend")
         rec, _ = run_critifusion(cfg)
         assert rec.status == "ok"
+
+
+class TestRunCritifusionOverHttp(RunCommitteeTests):
+    agent_backend = "http"
 
 
 class FailingBackend:
@@ -129,9 +151,9 @@ class CrashingBackend:
         raise RuntimeError("not an agent error")
 
 
-class TestFailurePaths:
+class FailureCommitteeTests(CommitteeRows):
     def test_stage_failure_carries_partial_record(self):
-        cfg = PipelineConfig(prompt=DEGRADED, seed=0)
+        cfg = self.config(prompt=DEGRADED, seed=0)
         with pytest.raises(StageFailure) as exc:
             run_critifusion(cfg, FailingBackend())
         failure = exc.value
@@ -142,13 +164,13 @@ class TestFailurePaths:
         assert failure.record.stages == ["base_sample", "decode", "vlm_hints"]
 
     def test_degrade_allow_falls_back_to_mock(self):
-        cfg = PipelineConfig(prompt=DEGRADED, seed=0, degrade="allow")
+        cfg = self.config(prompt=DEGRADED, seed=0, degrade="allow")
         rec, _ = run_critifusion(cfg, FailingBackend())
         assert rec.status == "ok"
         assert rec.alignment["final"] > rec.alignment["base"]
 
     def test_degrade_allow_matches_mock_run(self):
-        cfg = PipelineConfig(prompt=DEGRADED, seed=0, degrade="allow")
+        cfg = self.config(prompt=DEGRADED, seed=0, degrade="allow")
         degraded, _ = run_critifusion(cfg, FailingBackend())
         healthy, _ = run_critifusion(cfg)
         assert degraded.transcript == healthy.transcript
@@ -158,7 +180,7 @@ class TestFailurePaths:
         assert healthy.degraded_calls == 0
 
     def test_degrade_allow_counts_only_failed_calls(self):
-        cfg = PipelineConfig(prompt=DEGRADED, seed=0, degrade="allow")
+        cfg = self.config(prompt=DEGRADED, seed=0, degrade="allow")
         rec, _ = run_critifusion(cfg, FlakyAgentBackend(failing_agent=2))
         # agent 2 is called once in decompose_clauses and once in aggregate
         assert rec.degraded_calls == 2
@@ -166,7 +188,7 @@ class TestFailurePaths:
         assert rec.transcript == healthy.transcript
 
     def test_degrade_abort_counts_no_fallback(self):
-        cfg = PipelineConfig(prompt=DEGRADED, seed=0)
+        cfg = self.config(prompt=DEGRADED, seed=0)
         with pytest.raises(StageFailure) as exc:
             run_critifusion(cfg, FlakyAgentBackend(failing_agent=2))
         assert exc.value.record.degraded_calls == 0
@@ -176,13 +198,15 @@ class TestFailurePaths:
         ]
 
     def test_degrade_allow_only_catches_agent_errors(self):
-        cfg = PipelineConfig(prompt=DEGRADED, seed=0, degrade="allow")
+        cfg = self.config(prompt=DEGRADED, seed=0, degrade="allow")
         with pytest.raises(StageFailure) as exc:
             run_critifusion(cfg, CrashingBackend())
         assert exc.value.stage == "decompose_clauses"
         assert isinstance(exc.value.cause, RuntimeError)
         assert exc.value.record.failed_stage == "decompose_clauses"
 
+
+class TestFailurePaths(FailureCommitteeTests):
     def test_unknown_disable_component(self):
         with pytest.raises(SweepConfigError):
             run_critifusion(
@@ -217,6 +241,115 @@ class TestFailurePaths:
         with pytest.raises(LatentError):
             run_critifusion(PipelineConfig(prompt=DEGRADED), backend, base_latent=base)
         assert backend.calls == []
+
+
+class TestFailurePathsOverHttp(FailureCommitteeTests):
+    agent_backend = "http"
+
+
+class BarrierBackend:
+    """Each propose call waits until three are in flight at once."""
+
+    def __init__(self):
+        self.barrier = threading.Barrier(3, timeout=5)
+
+    def respond(self, agent_id, request):
+        if request.directive == "propose":
+            self.barrier.wait()
+        return mock_respond(agent_id, request)
+
+
+class SlowFirstBackend:
+    """Proposers with lower agent ids answer later."""
+
+    def __init__(self):
+        self.finished = []
+
+    def respond(self, agent_id, request):
+        if request.directive == "propose":
+            time.sleep(0.05 * (4 - agent_id))
+        self.finished.append(agent_id)
+        return mock_respond(agent_id, request)
+
+
+class FailFirstBackend:
+    """Agent 1 fails at once; every other call answers 0.1 s later."""
+
+    def __init__(self):
+        self.finished = []
+
+    def respond(self, agent_id, request):
+        if agent_id == 1:
+            raise AgentTransportError("injected outage", status=503, agent_id=agent_id)
+        time.sleep(0.1)
+        self.finished.append(agent_id)
+        return mock_respond(agent_id, request)
+
+
+class InFlightBackend:
+    """Holds each propose call until more than ``limit`` are in flight.
+
+    A call gives up waiting after 0.2 s; ``most_in_flight`` is the most
+    propose calls seen in flight at once.
+    """
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.cond = threading.Condition()
+        self.in_flight = 0
+        self.most_in_flight = 0
+
+    def respond(self, agent_id, request):
+        if request.directive == "propose":
+            with self.cond:
+                self.in_flight += 1
+                self.most_in_flight = max(self.most_in_flight, self.in_flight)
+                self.cond.notify_all()
+                self.cond.wait_for(lambda: self.in_flight > self.limit, timeout=0.2)
+                self.in_flight -= 1
+        return mock_respond(agent_id, request)
+
+
+class TestConcurrentRounds:
+    def test_round_calls_overlap(self):
+        # a sequential round would break the barrier after its timeout
+        cfg = PipelineConfig(prompt=DEGRADED, seed=0, agent_backend="http")
+        rec, _ = run_critifusion(cfg, BarrierBackend())
+        mock, _ = run_critifusion(replace(cfg, agent_backend="mock"))
+        assert rec.transcript == mock.transcript
+
+    def test_transcript_keeps_agent_order(self):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=0, agent_backend="http")
+        backend = SlowFirstBackend()
+        rec, _ = run_critifusion(cfg, backend)
+        mock, _ = run_critifusion(replace(cfg, agent_backend="mock"))
+        assert backend.finished[:3] == [3, 2, 1]
+        assert rec.transcript == mock.transcript
+        assert rec.digests == mock.digests
+
+    def test_abort_waits_for_the_whole_round(self):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=0, agent_backend="http")
+        backend = FailFirstBackend()
+        with pytest.raises(StageFailure) as exc:
+            run_critifusion(cfg, backend)
+        assert exc.value.record.transcript == []
+        # no call of the failed round is still running when the run fails
+        assert sorted(backend.finished) == [2, 3]
+
+    def test_round_wider_than_the_pool(self):
+        width = pipeline.ROUND_WORKERS + 2
+        committee = CommitteeConfig(layer_widths=(width,))
+        cfg = PipelineConfig(
+            prompt=DEGRADED, seed=0, committee=committee, agent_backend="http"
+        )
+        backend = InFlightBackend(limit=pipeline.ROUND_WORKERS)
+        rec, _ = run_critifusion(cfg, backend)
+        mock, _ = run_critifusion(replace(cfg, agent_backend="mock"))
+        assert backend.most_in_flight <= pipeline.ROUND_WORKERS
+        assert rec.transcript == mock.transcript
+        assert [agent for agent, stage, _ in rec.transcript[:width]] == list(
+            range(1, width + 1)
+        )
 
 
 class TestSweepK:
