@@ -46,7 +46,6 @@ class AgentProtocolError(AgentError):
 class AgentEndpoint:
     base_url: str
     model_id: str = "default"
-    auth_env: str = AUTH_ENV_VAR
     timeout: float = 30.0
     max_retries: int = 2
     backoff: float = 0.25
@@ -149,9 +148,10 @@ def http_complete(
 
     Transient failures (connection errors, timeouts, 429/5xx) retry with
     exponential backoff up to max_retries; total attempts never exceed
-    max_retries + 1.  Other HTTP statuses fail immediately.  A
-    ``requests.Session`` as ``session`` keeps connections open across calls;
-    the default opens one per attempt.
+    max_retries + 1.  Other HTTP statuses fail immediately, and so does a
+    body off the chat-completion schema (AgentProtocolError); a missing or
+    null ``usage`` counts 0 tokens.  A ``requests.Session`` as ``session``
+    keeps connections open across calls; the default opens one per attempt.
     """
     payload = {
         "model": endpoint.model_id,
@@ -160,7 +160,7 @@ def http_complete(
         "max_tokens": request.max_tokens,
     }
     headers = {"Content-Type": "application/json"}
-    token = os.environ.get(endpoint.auth_env, "")
+    token = os.environ.get(AUTH_ENV_VAR, "")
     if token:
         headers["Authorization"] = f"Bearer {token}"
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
@@ -195,15 +195,16 @@ def http_complete(
         try:
             body = resp.json()
             text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            usage = body.get("usage") or {}
+            tokens = [usage.get(key, 0) for key in ("prompt_tokens", "completion_tokens")]
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise AgentProtocolError(f"malformed completion body: {exc}") from exc
-        usage = body.get("usage", {}) if isinstance(body, dict) else {}
-        return AgentResponse(
-            text=text,
-            latency=latency,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-        )
+        if not isinstance(text, str) or any(type(n) is not int for n in tokens):
+            raise AgentProtocolError(
+                f"malformed completion body: {type(text).__name__} content, "
+                f"token counts {tokens}"
+            )
+        return AgentResponse(text, latency, *tokens)
     raise last_error if last_error is not None else AgentTransportError("no attempts")
 
 

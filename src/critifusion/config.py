@@ -8,8 +8,8 @@ so a run needs nothing beyond a prompt:
     bare keys      PipelineConfig  (critifusion.pipeline)
     committee.*    CommitteeConfig (critifusion.criticore)
     cadr.*         CadrConfig      (critifusion.cadr)
-    agent.*        AgentEndpoint   (critifusion.agents), all fields but
-                   auth_env; read only when agent_backend = http
+    agent.*        AgentEndpoint   (critifusion.agents), read only when
+                   agent_backend = http
 
 Booleans accept true/false, yes/no and 1/0; tuples are comma-separated
 integers (``committee.layer_widths = 3,3``).
@@ -56,7 +56,7 @@ def parse_kv(text: str) -> dict:
     return out
 
 
-def _take(cls, kv: dict, prefix: str = "", hidden=()) -> dict:
+def _take(cls, kv: dict, prefix: str = "") -> dict:
     """Pop and cast the keys of ``cls``'s fields: its constructor kwargs.
 
     Keys absent from ``kv`` are left to the field defaults.  A field whose
@@ -66,8 +66,6 @@ def _take(cls, kv: dict, prefix: str = "", hidden=()) -> dict:
     types = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
-        if f.name in hidden:
-            continue
         kind = types[f.name]
         if is_dataclass(kind):
             kwargs[f.name] = kind(**_take(kind, kv, f"{prefix}{f.name}."))
@@ -100,7 +98,7 @@ def load_config(
         config = PipelineConfig(**_take(PipelineConfig, kv))
         # Endpoint keys are consumed even for the mock backend so they
         # never count as unknown.
-        agent = _take(AgentEndpoint, kv, "agent.", hidden=("auth_env",))
+        agent = _take(AgentEndpoint, kv, "agent.")
         if kv:
             raise ConfigError(f"unknown config keys: {sorted(kv)}")
         if config.agent_backend != "http":

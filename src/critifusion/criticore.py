@@ -117,10 +117,6 @@ class CommitteeConfig:
         if self.k_edit < 0 or self.k_hints < 1:
             raise CommitteeConfigError("k_edit must be >= 0 and k_hints >= 1")
 
-    @property
-    def width(self) -> int:
-        return self.agents if self.mode == "mad" else self.layer_widths[0]
-
 
 def vlm_hints(image: LatentField, prompt: PromptBundle, k_hints: int = 5) -> list[str]:
     """Grounded hints: where the image's pattern coefficients miss the prompt.
@@ -145,20 +141,10 @@ def vlm_hints(image: LatentField, prompt: PromptBundle, k_hints: int = 5) -> lis
     return [text for _, _, text in mismatches[:k_hints]]
 
 
-def clauses_for(indices) -> list[Clause]:
-    """One unscored clause per descriptor index, in the given order."""
-    return [
-        Clause(
-            clause_id=j,
-            text=(vocab.CANONICAL_NAMES[j],),
-            kind=CLAUSE_KINDS[j % len(CLAUSE_KINDS)],
-        )
-        for j in indices
-    ]
-
-
 def committee_instruction(prompt: PromptBundle, hints) -> str:
     """The prompt's tokens followed by the hints' tokens, space-joined."""
+    if not prompt.tokens:
+        raise EmptyInputError("prompt has no tokens")
     return " ".join(list(prompt.tokens) + vocab.tokenize(" ".join(hints)))
 
 
@@ -174,22 +160,16 @@ def ask_all(backend, calls) -> list:
     return [backend.respond(agent_id, request) for agent_id, request in calls]
 
 
-def decompose_clauses(
-    prompt: PromptBundle, hints, committee: CommitteeConfig, backend
-) -> list[Clause]:
-    """Fan the instruction out to the committee proposers; union the clauses."""
-    if not prompt.tokens:
-        raise EmptyInputError("prompt has no tokens")
-    request = make_request("propose", committee_instruction(prompt, hints))
-    answers = ask_all(
-        backend, [(agent_id, request) for agent_id in range(1, committee.width + 1)]
-    )
-    seen: list[int] = []
-    for resp in answers:
-        for j in vocab.descriptor_indices(vocab.tokenize(resp.text)):
-            if j not in seen:
-                seen.append(j)
-    return clauses_for(seen)
+def decompose_clauses(text: str) -> list[Clause]:
+    """One unscored clause per descriptor the text names, in order."""
+    return [
+        Clause(
+            clause_id=j,
+            text=(vocab.CANONICAL_NAMES[j],),
+            kind=CLAUSE_KINDS[j % len(CLAUSE_KINDS)],
+        )
+        for j in vocab.descriptor_indices(vocab.tokenize(text))
+    ]
 
 
 def mad_round(state, committee: CommitteeConfig, backend, instruction: str):

@@ -16,9 +16,7 @@ from .basis import _check_toy_dims
 from .cadr import CadrConfig, CadrParams, cadr_from_alignment
 from .criticore import (
     DEFAULT_BUDGET,
-    Clause,
     CommitteeConfig,
-    clauses_for,
     committee_instruction,
     conditioning_from_prompt,
     decompose_clauses,
@@ -45,8 +43,8 @@ STAGES = (
     "base_sample",
     "decode",
     "vlm_hints",
-    "decompose_clauses",
     "aggregate",
+    "decompose_clauses",
     "score_clauses",
     "merge_topk",
     "cadr",
@@ -227,12 +225,6 @@ class _AgentCalls:
         return resp
 
 
-def _reorder_by_text(clauses: list[Clause], aggregated: str) -> list[Clause]:
-    order = vocab.descriptor_indices(vocab.tokenize(aggregated))
-    rank = {j: i for i, j in enumerate(order)}
-    return sorted(clauses, key=lambda c: (rank.get(c.clause_id, len(rank)), c.clause_id))
-
-
 def run_critifusion(
     config: PipelineConfig,
     backend=None,
@@ -319,28 +311,19 @@ def run_critifusion(
         )
     record.hints = list(hints)
 
+    # The committee's consensus names the clauses; without the committee,
+    # the prompt itself does.
     if "multi_llm" in disable:
-        clauses = stage(
-            "decompose_clauses",
-            lambda: clauses_for(vocab.descriptor_indices(bundle.tokens)),
-        )
-        stage("aggregate", lambda: None)
+        consensus = stage("aggregate", lambda: bundle.text)
     else:
-        clauses = stage(
-            "decompose_clauses",
-            lambda: decompose_clauses(bundle, hints, config.committee, calls),
+        consult = moa_aggregate if config.committee.mode == "moa" else run_mad
+        consensus = stage(
+            "aggregate",
+            lambda: consult(
+                committee_instruction(bundle, hints), config.committee, calls
+            ),
         )
-        instruction = committee_instruction(bundle, hints)
-        if config.committee.mode == "moa":
-            aggregated = stage(
-                "aggregate",
-                lambda: moa_aggregate(instruction, config.committee, calls),
-            )
-        else:
-            aggregated = stage(
-                "aggregate", lambda: run_mad(instruction, config.committee, calls)
-            )
-        clauses = _reorder_by_text(clauses, aggregated)
+    clauses = stage("decompose_clauses", lambda: decompose_clauses(consensus))
 
     report = stage("score_clauses", lambda: score_clauses(clauses, x_base))
     record.clause_scores = {str(c.clause_id): c.score for c in report.clauses}

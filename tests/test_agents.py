@@ -22,6 +22,7 @@ from critifusion.agents import (
     make_request,
     mock_respond,
 )
+from critifusion.pipeline import PipelineConfig, run_critifusion
 
 
 class TestMockBackend:
@@ -60,7 +61,10 @@ class TestMockBackend:
 
 
 class StubState:
-    """Scripted behaviors consumed one per request; 'ok' echoes the input."""
+    """Scripted behaviors consumed one per request; 'ok' echoes the input.
+
+    An int is sent as a bare status, a dict as the JSON body of a 200.
+    """
 
     def __init__(self):
         self.script = []
@@ -95,6 +99,8 @@ def make_handler(state: StubState):
                 return
             if behavior == "garbage":
                 payload = b"not json at all"
+            elif isinstance(behavior, dict):
+                payload = json.dumps(behavior).encode()
             else:
                 user = "\n".join(
                     m["content"] for m in body["messages"] if m["role"] == "user"
@@ -196,6 +202,46 @@ class TestHttpClient:
         state.script = ["garbage"]
         with pytest.raises(AgentProtocolError):
             http_complete(endpoint(url), make_request("propose", "x"))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": "aurora"}}], "usage": {"prompt_tokens": "12x"}},
+            {"choices": [{"message": {"content": "aurora"}}], "usage": {"completion_tokens": 1.5}},
+            {"choices": [{"message": {"content": "aurora"}}], "usage": [3, 4]},
+        ],
+        ids=["null_content", "text_tokens", "float_tokens", "list_usage"],
+    )
+    def test_off_schema_body_is_a_protocol_error(self, stub, body):
+        state, url = stub
+        state.script = [body]
+        with pytest.raises(AgentProtocolError):
+            http_complete(endpoint(url), make_request("propose", "x"))
+        assert len(state.requests) == 1
+
+    @pytest.mark.parametrize("usage", [None, "missing"])
+    def test_missing_or_null_usage_counts_no_tokens(self, stub, usage):
+        state, url = stub
+        body = {"choices": [{"message": {"content": "aurora"}}], "usage": usage}
+        if usage == "missing":
+            del body["usage"]
+        state.script = [body]
+        resp = http_complete(endpoint(url), make_request("propose", "x"))
+        assert (resp.text, resp.prompt_tokens, resp.completion_tokens) == ("aurora", 0, 0)
+
+    def test_degrade_allow_answers_off_schema_bodies_with_the_mock(self, stub):
+        state, url = stub
+        state.script = [{"choices": [{"message": {"content": None}}]}] * 4
+        config = PipelineConfig(
+            prompt="aurora", seed=0, agent_backend="http", degrade="allow"
+        )
+        backend = HttpAgentBackend(endpoint(url))
+        rec, _ = run_critifusion(config, backend)
+        healthy, _ = run_critifusion(config)
+        # default MoA (3,): three proposers and the aggregator
+        assert rec.degraded_calls == 4
+        assert rec.digests == healthy.digests
 
     def test_auth_header_from_env(self, stub, monkeypatch):
         state, url = stub

@@ -305,7 +305,7 @@ class TestInspect:
         write_run_record(exc.value.record, path)
         code = main(["inspect", str(path)])
         assert code == EXIT_OK
-        assert "FAILED at stage: decompose_clauses" in capsys.readouterr().out
+        assert "FAILED at stage: aggregate" in capsys.readouterr().out
 
     def test_degraded_calls_reported(self, tmp_path, capsys):
         from test_pipeline import FailingBackend
@@ -320,7 +320,7 @@ class TestInspect:
         write_run_record(degraded, path)
         assert main(["inspect", str(path)]) == EXIT_OK
         text = capsys.readouterr().out
-        assert text.count("degraded_calls: 7 (answered by the mock)") == 1
+        assert text.count("degraded_calls: 4 (answered by the mock)") == 1
 
     def test_missing_record(self, tmp_path):
         assert main(["inspect", str(tmp_path / "none.jsonl")]) == EXIT_CONFIG

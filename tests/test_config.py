@@ -21,8 +21,6 @@ def to_text(config, endpoint=None) -> str:
     def emit(obj, prefix):
         for f in fields(obj):
             value = getattr(obj, f.name)
-            if f.name == "auth_env":
-                continue
             if is_dataclass(value):
                 emit(value, f"{prefix}{f.name}.")
                 continue

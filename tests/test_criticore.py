@@ -17,6 +17,7 @@ from critifusion.criticore import (
     CritiqueReport,
     EmptyInputError,
     PromptBundle,
+    committee_instruction,
     conditioning_from_prompt,
     decompose_clauses,
     judge,
@@ -112,32 +113,31 @@ class TestVlmHints:
 class TestDecompose:
     def test_single_token_single_clause(self):
         committee = CommitteeConfig(mode="moa", layer_widths=(5,))
-        clauses = decompose_clauses(
-            make_prompt_bundle("prism"), [], committee, MockAgentBackend()
-        )
+        clauses = decompose_clauses(moa_aggregate("prism", committee, MockAgentBackend()))
         assert len(clauses) == 1
         assert clauses[0].clause_id == 15
         assert clauses[0].kind == "entity"
 
     def test_pair_enrichment(self):
         committee = CommitteeConfig(mode="moa", layer_widths=(3,))
-        clauses = decompose_clauses(
-            make_prompt_bundle("aurora"), [], committee, MockAgentBackend()
-        )
+        clauses = decompose_clauses(moa_aggregate("aurora", committee, MockAgentBackend()))
         assert [c.clause_id for c in clauses] == [0, 1]
 
     def test_duplicates_removed(self):
-        committee = CommitteeConfig(mode="moa", layer_widths=(3,))
-        clauses = decompose_clauses(
-            make_prompt_bundle("aurora aurora basalt"), [], committee, MockAgentBackend()
-        )
-        ids = [c.clause_id for c in clauses]
-        assert len(ids) == len(set(ids))
+        clauses = decompose_clauses("aurora aurora1 basalt aurora")
+        assert [c.clause_id for c in clauses] == [0, 1]
+
+    def test_order_of_the_text(self):
+        clauses = decompose_clauses("cobalt2, the aurora and dune3")
+        assert [c.clause_id for c in clauses] == [2, 0, 3]
+        assert [c.text for c in clauses] == [("cobalt",), ("aurora",), ("dune",)]
+        assert all(c.score is None for c in clauses)
 
     def test_set_union_oracle(self):
         committee = CommitteeConfig(mode="moa", layer_widths=(3,))
         prompt = make_prompt_bundle("aurora cobalt ember garnet iris krait")
-        clauses = decompose_clauses(prompt, [], committee, MockAgentBackend())
+        consensus = moa_aggregate(prompt.text, committee, MockAgentBackend())
+        clauses = decompose_clauses(consensus)
 
         # independent recomputation of the union of per-agent proposals
         base = set(vocab.descriptor_indices(prompt.tokens))
@@ -149,9 +149,9 @@ class TestDecompose:
         assert {c.clause_id for c in clauses} == expected
 
     def test_empty_prompt(self):
-        committee = CommitteeConfig(mode="moa", layer_widths=(1,))
         with pytest.raises(EmptyInputError):
-            decompose_clauses(make_prompt_bundle(""), [], committee, MockAgentBackend())
+            committee_instruction(make_prompt_bundle(""), ["increase aurora"])
+        assert decompose_clauses("") == []
 
 
 class RecordingBackend(MockAgentBackend):

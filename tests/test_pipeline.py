@@ -1,5 +1,6 @@
 """End-to-end orchestration, provenance records, and sweep harnesses."""
 
+import itertools
 import json
 import threading
 import time
@@ -11,7 +12,7 @@ import pytest
 from critifusion import pipeline, vocab
 from critifusion.agents import AgentTransportError, MockAgentBackend, mock_respond
 from critifusion.cadr import CadrParams
-from critifusion.criticore import CommitteeConfig
+from critifusion.criticore import CommitteeConfig, EmptyInputError
 from critifusion.latents import LatentError, LatentField, read_latent
 from critifusion.pipeline import (
     STAGES,
@@ -48,16 +49,32 @@ class CommitteeRows:
         return PipelineConfig(agent_backend=self.agent_backend, **kwargs)
 
 
+class NumberedAnswers:
+    """Records every ``(agent_id, request)`` sent; numbers every answer.
+
+    The mock's layer-2 proposals repeat layer 1's, so its layer-2 aggregator
+    request would repeat too.  A real model's answers differ from call to
+    call; the number gives the mock that property, so a request repeats
+    only if the pipeline itself sends it twice.
+    """
+
+    def __init__(self):
+        self.sent = []
+        self.numbers = itertools.count()
+
+    def respond(self, agent_id, request):
+        self.sent.append((agent_id, request))
+        resp = mock_respond(agent_id, request)
+        return replace(resp, text=f"{resp.text} call{next(self.numbers)}")
+
+
 class RunCommitteeTests(CommitteeRows):
     def test_transcript_recorded(self):
         rec, _ = run_critifusion(self.config(prompt=DEGRADED, seed=0))
-        # default MoA (3,): 3 proposals in decompose + 3 + aggregator
-        assert len(rec.transcript) == 7
+        # default MoA (3,): 3 proposers + aggregator
+        assert len(rec.transcript) == 4
         assert all(len(entry) == 3 for entry in rec.transcript)
         assert [(agent, stage) for agent, stage, _ in rec.transcript] == [
-            (1, "decompose_clauses"),
-            (2, "decompose_clauses"),
-            (3, "decompose_clauses"),
             (1, "aggregate"),
             (2, "aggregate"),
             (3, "aggregate"),
@@ -70,17 +87,43 @@ class RunCommitteeTests(CommitteeRows):
         backend = MockAgentBackend()
         rec, _ = run_critifusion(cfg, backend)
         assert rec.status == "ok"
-        # 2 decompose proposals + 2 * 2 debate + judge
-        assert len(backend.calls) == 2 + 2 * 2 + 1
+        # 2 * 2 debate + judge
+        assert len(backend.calls) == 2 * 2 + 1
         assert [(agent, stage) for agent, stage, _ in rec.transcript] == [
-            (1, "decompose_clauses"),
-            (2, "decompose_clauses"),
             (1, "aggregate"),
             (2, "aggregate"),
             (1, "aggregate"),
             (2, "aggregate"),
             (0, "aggregate"),
         ]
+
+
+    @pytest.mark.parametrize(
+        "committee",
+        [
+            CommitteeConfig(),
+            CommitteeConfig(layer_widths=(3, 3)),
+            CommitteeConfig(mode="mad", agents=2, rounds=2),
+        ],
+        ids=["moa_3", "moa_3_3", "mad_2x2"],
+    )
+    def test_no_request_sent_twice(self, committee):
+        backend = NumberedAnswers()
+        cfg = self.config(prompt=DEGRADED, seed=0, committee=committee)
+        rec, _ = run_critifusion(cfg, backend)
+        assert rec.status == "ok"
+        assert len(set(backend.sent)) == len(backend.sent)
+
+    def test_uneven_moa_clauses_come_from_the_last_layer(self):
+        committee = CommitteeConfig(layer_widths=(3, 1))
+        cfg = self.config(prompt="aurora iris", seed=0, committee=committee)
+        rec, _ = run_critifusion(cfg)
+        agent, stage, consensus = rec.transcript[-1]
+        assert (agent, stage) == (0, "aggregate")
+        ids = [int(j) for j in rec.clause_scores]
+        assert ids == vocab.descriptor_indices(vocab.tokenize(consensus))
+        # layer 1 also named iris and jade; agent 1 alone cannot
+        assert ids == [0, 1]
 
 
 class TestRunCritifusion(RunCommitteeTests):
@@ -157,9 +200,9 @@ class FailureCommitteeTests(CommitteeRows):
         with pytest.raises(StageFailure) as exc:
             run_critifusion(cfg, FailingBackend())
         failure = exc.value
-        assert failure.stage == "decompose_clauses"
+        assert failure.stage == "aggregate"
         assert failure.record.status == "failed"
-        assert failure.record.failed_stage == "decompose_clauses"
+        assert failure.record.failed_stage == "aggregate"
         # stages before the failure completed; none after
         assert failure.record.stages == ["base_sample", "decode", "vlm_hints"]
 
@@ -175,15 +218,15 @@ class FailureCommitteeTests(CommitteeRows):
         healthy, _ = run_critifusion(cfg)
         assert degraded.transcript == healthy.transcript
         assert degraded.digests == healthy.digests
-        # default MoA (3,): 3 decompose calls, 3 proposers and the aggregator
-        assert degraded.degraded_calls == 7
+        # default MoA (3,): 3 proposers and the aggregator
+        assert degraded.degraded_calls == 4
         assert healthy.degraded_calls == 0
 
     def test_degrade_allow_counts_only_failed_calls(self):
         cfg = self.config(prompt=DEGRADED, seed=0, degrade="allow")
         rec, _ = run_critifusion(cfg, FlakyAgentBackend(failing_agent=2))
-        # agent 2 is called once in decompose_clauses and once in aggregate
-        assert rec.degraded_calls == 2
+        # agent 2 is called once, as a layer-1 proposer
+        assert rec.degraded_calls == 1
         healthy, _ = run_critifusion(cfg)
         assert rec.transcript == healthy.transcript
 
@@ -194,16 +237,25 @@ class FailureCommitteeTests(CommitteeRows):
         assert exc.value.record.degraded_calls == 0
         # agent 1 answered before agent 2 failed
         assert [entry[:2] for entry in exc.value.record.transcript] == [
-            [1, "decompose_clauses"]
+            [1, "aggregate"]
         ]
 
     def test_degrade_allow_only_catches_agent_errors(self):
         cfg = self.config(prompt=DEGRADED, seed=0, degrade="allow")
         with pytest.raises(StageFailure) as exc:
             run_critifusion(cfg, CrashingBackend())
-        assert exc.value.stage == "decompose_clauses"
+        assert exc.value.stage == "aggregate"
         assert isinstance(exc.value.cause, RuntimeError)
-        assert exc.value.record.failed_stage == "decompose_clauses"
+        assert exc.value.record.failed_stage == "aggregate"
+
+
+    def test_empty_prompt_fails_at_aggregate_before_any_call(self):
+        backend = MockAgentBackend()
+        with pytest.raises(StageFailure) as exc:
+            run_critifusion(self.config(prompt="", seed=0), backend)
+        assert exc.value.stage == "aggregate"
+        assert isinstance(exc.value.cause, EmptyInputError)
+        assert backend.calls == []
 
 
 class TestFailurePaths(FailureCommitteeTests):
