@@ -8,6 +8,7 @@ format with bounded retries and exponential backoff.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -53,12 +54,12 @@ class AgentEndpoint:
     def __post_init__(self):
         if not self.base_url:
             raise ValueError("base_url must be nonempty")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be finite and positive, got {self.timeout}")
         if self.max_retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValueError(f"backoff must be finite and >= 0, got {self.backoff}")
 
 
 @dataclass(frozen=True)

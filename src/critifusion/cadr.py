@@ -42,6 +42,11 @@ class CadrConfig:
         if not (0.0 < self.skip_threshold <= 1.0):
             raise AlignmentInputError("skip threshold must be in (0, 1]")
 
+    @property
+    def t_max(self) -> int:
+        """The longest corrective schedule, reached at s = 0."""
+        return self.t_min + self.t_span
+
 
 @dataclass(frozen=True)
 class CadrParams:
@@ -75,5 +80,5 @@ def cadr_from_alignment(s: float, config: CadrConfig = CadrConfig()) -> CadrPara
     g = min(config.g_min + u * config.g_span, config.g_min + config.g_span)
     rho = min(config.rho_min + u * config.rho_span, config.rho_min + config.rho_span)
     t_prime = int(math.floor(config.t_min + u * config.t_span + 0.5))
-    t_prime = min(max(t_prime, config.t_min), config.t_min + config.t_span)
+    t_prime = min(max(t_prime, config.t_min), config.t_max)
     return CadrParams(lam=lam, g=g, T_prime=t_prime, rho=rho)

@@ -13,7 +13,7 @@ from functools import partial
 from . import vocab
 from .agents import AgentError, MockAgentBackend, mock_respond
 from .basis import _check_toy_dims
-from .cadr import CadrConfig, CadrParams, cadr_from_alignment
+from .cadr import CadrConfig, cadr_from_alignment
 from .criticore import (
     DEFAULT_BUDGET,
     CommitteeConfig,
@@ -230,7 +230,6 @@ def run_critifusion(
     backend=None,
     disable: frozenset = frozenset(),
     forced_k: int | None = None,
-    forced_params: CadrParams | None = None,
     base_latent: LatentField | None = None,
 ):
     """Execute the full refinement pipeline.
@@ -239,11 +238,17 @@ def run_critifusion(
     ('z_base', 'z_ref', 'z_fused') to LatentField values.  Any stage error
     raises StageFailure carrying the partial record with a failure marker.
     A ``base_latent`` replaces the base sample and must have the config's
-    (channels, height, width).
+    (channels, height, width).  ``forced_k`` fixes the corrective pass at k
+    steps: k = 0 skips it and records the alignment's own T', and k > 0
+    keeps the alignment's lambda, g and rho but pins T' to the longest
+    schedule, ``config.cadr.t_max``, so every k up to it fits.  Blend
+    refinement ignores k, so ``forced_k`` needs ``refine_mode = img2img``.
     """
     unknown = set(disable) - set(ABLATABLE)
     if unknown:
         raise SweepConfigError(f"unknown ablation components: {sorted(unknown)}")
+    if forced_k is not None and config.refine_mode != "img2img":
+        raise SweepConfigError("forced_k needs refine_mode = img2img")
     expected = (config.channels, config.height, config.width)
     if base_latent is not None and base_latent.shape != expected:
         raise LatentError(f"base latent shape {base_latent.shape} is not {expected}")
@@ -336,12 +341,12 @@ def run_critifusion(
     )
     record.enhanced_tokens = list(enhanced.tokens)
 
-    if forced_params is not None:
-        params = stage("cadr", lambda: forced_params)
-    else:
-        params = stage(
-            "cadr", lambda: cadr_from_alignment(report.mean_score, config.cadr)
-        )
+    def corrective_params():
+        params = cadr_from_alignment(report.mean_score, config.cadr)
+        # Every forced k > 0 fits one schedule, the longest.
+        return replace(params, T_prime=config.cadr.t_max) if forced_k else params
+
+    params = stage("cadr", corrective_params)
     record.cadr = {
         "lam": params.lam,
         "g": params.g,
@@ -392,13 +397,20 @@ def run_critifusion(
     return record, latents
 
 
-def _sweep(axis: str, rows, backend, base_latent: LatentField | None = None):
+def _sweep(axis: str, rows, backend):
     """Run ``rows`` of (axis value, config, run kwargs) in order.
 
-    Rows differ only downstream of ``base_sample``, so every row reuses the
-    first base latent: ``base_latent`` if given, else the first row's.
+    No rows, or a repeated axis value, fails before any run.  Rows differ
+    only downstream of ``base_sample``, so the first row samples the base
+    latent and every later row reuses it.
     """
+    values = [value for value, _, _ in rows]
+    if not values:
+        raise SweepConfigError(f"no {axis} values")
+    if len(set(values)) != len(values):
+        raise SweepConfigError(f"duplicate {axis} values")
     out = []
+    base_latent = None
     for value, config, kwargs in rows:
         record, latents = run_critifusion(
             config, backend, base_latent=base_latent, **kwargs
@@ -418,35 +430,17 @@ def _sweep(axis: str, rows, backend, base_latent: LatentField | None = None):
 def sweep_k(config: PipelineConfig, k_values, backend=None) -> SweepTable:
     """One run per corrective-step count k, all else held fixed.
 
-    T' is pinned to its maximum so every requested k fits one common
-    schedule; the remaining corrective parameters come from a single probe
-    run.  k = 0 skips the corrective pass entirely.  Blend refinement
-    ignores k, so it is rejected.
+    Each row is ``run_critifusion(config, forced_k=k)``: T' is pinned to
+    ``config.cadr.t_max`` for k > 0, and the row sets its own lambda, g and
+    rho from its critique of the shared base latent; there is no probe run.
+    k = 0 skips the corrective pass.  Blend refinement ignores k and is
+    rejected.
     """
-    if config.refine_mode != "img2img":
-        raise SweepConfigError("sweep_k needs refine_mode = img2img")
-    k_values = list(k_values)
-    if not k_values:
-        raise SweepConfigError("no k values")
-    if len(set(k_values)) != len(k_values):
-        raise SweepConfigError("duplicate k values")
-    t_fixed = config.cadr.t_min + config.cadr.t_span
+    k_values = sorted(k_values)
     for k in k_values:
-        if not (0 <= k <= t_fixed):
-            raise SweepConfigError(f"k={k} outside [0, {t_fixed}]")
-
-    probe, latents = run_critifusion(config, backend)
-    params = CadrParams(
-        lam=probe.cadr["lam"],
-        g=probe.cadr["g"],
-        T_prime=t_fixed,
-        rho=probe.cadr["rho"],
-    )
-    rows = [
-        (k, config, {"forced_k": k, "forced_params": params if k > 0 else None})
-        for k in sorted(k_values)
-    ]
-    return _sweep("k", rows, backend, latents["z_base"])
+        if not (0 <= k <= config.cadr.t_max):
+            raise SweepConfigError(f"k={k} outside [0, {config.cadr.t_max}]")
+    return _sweep("k", [(k, config, {"forced_k": k}) for k in k_values], backend)
 
 
 def ablate(config: PipelineConfig, mask, backend=None) -> SweepTable:
@@ -466,21 +460,14 @@ def ablate(config: PipelineConfig, mask, backend=None) -> SweepTable:
 
 def sweep_ensemble(config: PipelineConfig, sizes, backend=None) -> SweepTable:
     """Vary the committee width; everything else fixed."""
-    sizes = list(sizes)
-    if not sizes:
-        raise SweepConfigError("no ensemble sizes")
-    if len(set(sizes)) != len(sizes):
-        raise SweepConfigError("duplicate ensemble sizes")
-    for size in sizes:
+    rows = []
+    for size in sorted(sizes):
         if size < 1:
             raise SweepConfigError(f"ensemble size must be >= 1, got {size}")
         if size > vocab.MAX_AGENTS:
             raise SweepConfigError(
                 f"ensemble size {size} exceeds the {vocab.MAX_AGENTS} mock lexicons"
             )
-
-    rows = []
-    for size in sorted(sizes):
         committee = config.committee
         if committee.mode == "mad":
             committee = replace(committee, agents=size)

@@ -3,6 +3,7 @@ exercised against a local stub server."""
 
 import contextlib
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -293,3 +294,7 @@ class TestHttpClient:
             AgentEndpoint(base_url="http://x", model_id="m", max_retries=-1)
         with pytest.raises(ValueError):
             AgentEndpoint(base_url="http://x", model_id="m", backoff=-1.0)
+        for field in ("timeout", "backoff"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=field):
+                    AgentEndpoint(base_url="http://x", model_id="m", **{field: value})

@@ -136,6 +136,19 @@ class TestErrors:
         assert code == EXIT_CONFIG
         assert not (out / "record.jsonl").exists()
 
+    @pytest.mark.parametrize("key", ["agent.timeout", "agent.backoff"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_agent_timing_exit_2_no_record(self, tmp_path, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            "prompt = aurora\nagent_backend = http\ndegrade = allow\n"
+            f"agent.base_url = http://localhost:9\n{key} = {value}\n"
+        )
+        out = tmp_path / "o"
+        code = main(["generate", "--config", str(bad), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not (out / "record.jsonl").exists()
+
     @pytest.mark.parametrize(
         "row",
         [row for row in INVALID if "diffusion_backend" not in row]

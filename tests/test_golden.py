@@ -6,12 +6,23 @@ prompt ``aurora`` refines in every case (T' = 19 under DDIM, 20 under
 DDPM), so z_ref and z_fused are exercised, not copies of z_base.  The
 committee mode does not change the clause set for this prompt, so the MoA
 and MAD runs share one row.
+
+``TABLES`` pins the SHA-256 of each sweep harness's JSON lines the same
+way, for ``aurora`` and for the skip prompt ``aurora basalt`` (T' = 0).
 """
+
+import hashlib
 
 import pytest
 
 from critifusion.criticore import CommitteeConfig
-from critifusion.pipeline import PipelineConfig, run_critifusion
+from critifusion.pipeline import (
+    PipelineConfig,
+    ablate,
+    run_critifusion,
+    sweep_ensemble,
+    sweep_k,
+)
 
 # (seed, sampler, refine_mode) -> (z_base, z_ref, z_fused)
 GOLDEN = {
@@ -72,3 +83,65 @@ def test_stage_digests_are_pinned(seed, sampler, refine_mode, committee_mode):
     assert record.cadr["T_prime"] > 0
     got = tuple(record.digests[name] for name in ("z_base", "z_ref", "z_fused"))
     assert got == GOLDEN[(seed, sampler, refine_mode)]
+
+
+HARNESSES = {
+    "sweep_k": (sweep_k, [0, 10, 30]),
+    "ablate": (ablate, ["vlm", "multi_llm", "specfusion"]),
+    "sweep_ensemble": (sweep_ensemble, [1, 2, 3]),
+}
+
+# (prompt, sampler, harness) -> SHA-256 of the table's JSON lines, seed 2
+TABLES = {
+    ("aurora", "ddim", "sweep_k"): (
+        "27950f62df2d5062675b8f9349eefb4bbce10ab94cb86c2a0ce724e7684331c1"
+    ),
+    ("aurora", "ddim", "ablate"): (
+        "a8bdcaca852561507b5852f277efb821c7adc241c3b83bf2aa198182c5b66c09"
+    ),
+    ("aurora", "ddim", "sweep_ensemble"): (
+        "995aed7212978c6f54bd6ec997f0deff5acf5e8af5f9e3b6398fb1700f4826b0"
+    ),
+    ("aurora", "ddpm", "sweep_k"): (
+        "21ceec7e14807cf8203cf1557a47371da84720aeed5c7deaed50b8647e72c9b1"
+    ),
+    ("aurora", "ddpm", "ablate"): (
+        "91ec7e414ecf0904e105d6406a7a0c12a9bf21aa4257532fdf1e74ce2d6d94ed"
+    ),
+    ("aurora", "ddpm", "sweep_ensemble"): (
+        "3ec56919c6c4e7d4630f178b48f8418a875bfa775c38dc362871468ef5cfd186"
+    ),
+    ("aurora basalt", "ddim", "sweep_k"): (
+        "0d2e48314880fd8ead3e5cfbde23d40dc32b6ddcb6e253ca514181db35f8ba61"
+    ),
+    ("aurora basalt", "ddim", "ablate"): (
+        "74965cfba1d0ac32e413557296c3839c76d6f608b90c3261b20418f251f9ec98"
+    ),
+    ("aurora basalt", "ddim", "sweep_ensemble"): (
+        "3ce85588bfbba018c6673623915c98318c36e63494b500c0c9a59abde1c4ebe0"
+    ),
+    ("aurora basalt", "ddpm", "sweep_k"): (
+        "c3bc00af311c9ac5ea028bbac1861ee20f3819c05349baa0ec45f1178347b947"
+    ),
+    ("aurora basalt", "ddpm", "ablate"): (
+        "29af340af3098dd43b99f55dfdcb0051ca87917927504441d2648aca27ba8825"
+    ),
+    ("aurora basalt", "ddpm", "sweep_ensemble"): (
+        "2f80eccb6a346afbd6302327aee48f27d4d55d245bab70138ff1e211cc9ee850"
+    ),
+}
+
+
+@pytest.mark.parametrize("committee_mode", ["moa", "mad"])
+@pytest.mark.parametrize("prompt, sampler, harness", sorted(TABLES))
+def test_harness_tables_are_pinned(prompt, sampler, harness, committee_mode):
+    config = PipelineConfig(
+        prompt=prompt,
+        seed=2,
+        sampler=sampler,
+        committee=CommitteeConfig(mode=committee_mode),
+    )
+    run, axis = HARNESSES[harness]
+    lines = run(config, axis).to_json_lines()
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == TABLES[(prompt, sampler, harness)]

@@ -11,7 +11,6 @@ import pytest
 
 from critifusion import pipeline, vocab
 from critifusion.agents import AgentTransportError, MockAgentBackend, mock_respond
-from critifusion.cadr import CadrParams
 from critifusion.criticore import CommitteeConfig, EmptyInputError
 from critifusion.latents import LatentError, LatentField, read_latent
 from critifusion.pipeline import (
@@ -433,6 +432,40 @@ class TestSweepK:
             sweep_k(PipelineConfig(prompt=DEGRADED), [])
         assert base_sample_calls == []
 
+    def test_one_run_per_k(self, monkeypatch):
+        runs = []
+        original = pipeline.run_critifusion
+
+        def counting(*args, **kwargs):
+            runs.append(kwargs.get("forced_k"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_critifusion", counting)
+        sweep_k(PipelineConfig(prompt=DEGRADED, seed=2), [0, 5, 30])
+        assert runs == [0, 5, 30]
+
+    def test_forced_k_pins_the_longest_schedule(self):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2)
+        free, _ = run_critifusion(cfg)
+        rec, _ = run_critifusion(cfg, forced_k=30)
+        assert rec.status == "ok"
+        assert rec.cadr == {**free.cadr, "T_prime": 30}
+
+    def test_forced_k_zero_skips_and_keeps_its_own_t_prime(self):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2)
+        free, _ = run_critifusion(cfg)
+        rec, latents = run_critifusion(cfg, forced_k=0)
+        assert rec.status == "ok"
+        assert rec.cadr == free.cadr
+        assert rec.cadr["T_prime"] > 0
+        assert np.array_equal(latents["z_fused"].values, latents["z_base"].values)
+
+    def test_forced_k_rejects_blend(self, base_sample_calls):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2, refine_mode="blend")
+        with pytest.raises(SweepConfigError, match="img2img"):
+            run_critifusion(cfg, forced_k=5)
+        assert base_sample_calls == []
+
     def test_blend_rejected_before_any_run(self, base_sample_calls):
         # blend refinement ignores k, so every k > 0 row would be one run
         cfg = PipelineConfig(prompt=DEGRADED, seed=2, refine_mode="blend")
@@ -559,16 +592,7 @@ class TestSharedBaseLatent:
             prompt=DEGRADED, seed=2, sampler=sampler, committee=committee
         )
 
-        probe, _ = run_critifusion(cfg)
-        params = CadrParams(
-            lam=probe.cadr["lam"],
-            g=probe.cadr["g"],
-            T_prime=cfg.cadr.t_min + cfg.cadr.t_span,
-            rho=probe.cadr["rho"],
-        )
-        expected = [_oracle_row(0, cfg, forced_k=0)] + [
-            _oracle_row(k, cfg, forced_k=k, forced_params=params) for k in (10, 30)
-        ]
+        expected = [_oracle_row(k, cfg, forced_k=k) for k in (0, 10, 30)]
         assert list(sweep_k(cfg, [30, 0, 10]).rows) == expected
 
         expected = [_oracle_row("full", cfg)] + [
