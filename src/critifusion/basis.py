@@ -63,5 +63,5 @@ def pattern_coefficient(values: np.ndarray, index: int) -> float:
     _, height, width = values.shape
     plane = basis_plane(index, height, width)
     norm = float(np.sum(plane * plane))
-    per_channel = np.tensordot(values.astype(np.float64), plane, axes=([1, 2], [0, 1]))
+    per_channel = np.tensordot(values, plane, axes=([1, 2], [0, 1]))
     return float(per_channel.mean() / norm)

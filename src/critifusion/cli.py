@@ -2,7 +2,8 @@
 
 Subcommands: generate, refine, sweep-k, ablate, sweep-ensemble, inspect.
 Exit codes: 0 success, 1 run failure, 2 config/argument error.  Every
-output file lands under the --out directory.
+output file lands under the --out directory, which is created only when the
+first of them is written, so an error before that leaves no directory.
 """
 
 from __future__ import annotations
@@ -94,14 +95,15 @@ def _run_single(args) -> int:
     config, endpoint = _load(args)
     base_latent = read_latent(args.latent) if args.subcommand == "refine" else None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     backend = _make_backend(config, endpoint)
     try:
         record, latents = run_critifusion(config, backend, base_latent=base_latent)
     except StageFailure as failure:
+        out.mkdir(parents=True, exist_ok=True)
         write_run_record(failure.record, out / "record.jsonl")
         print(f"run failed at stage {failure.stage}: {failure.cause}", file=sys.stderr)
         return EXIT_RUN_FAILURE
+    out.mkdir(parents=True, exist_ok=True)
     write_run_record(record, out / "record.jsonl")
     for name, filename in LATENT_FILES.items():
         if name in latents:
@@ -118,8 +120,6 @@ def _run_single(args) -> int:
 
 def _run_sweep(args) -> int:
     config, endpoint = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     backend = _make_backend(config, endpoint)
     if args.subcommand == "sweep-k":
         table = sweep_k(config, _int_list(args.k), backend)
@@ -128,6 +128,8 @@ def _run_sweep(args) -> int:
         table = ablate(config, mask, backend)
     else:
         table = sweep_ensemble(config, _int_list(args.sizes), backend)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.jsonl"
     write_sweep_table(table, path)
     for row in table.rows:
@@ -167,7 +169,7 @@ def inspect(record_path: str) -> int:
             print(f"  cadr: {data['cadr']}")
         if data.get("degraded_calls"):
             print(f"  degraded_calls: {data['degraded_calls']} (answered by the mock)")
-        for name, digest in sorted(data.get("digests", {}).items()):
+        for name, digest in sorted((data.get("digests") or {}).items()):
             sibling = path.parent / LATENT_FILES.get(name, "")
             if not sibling.is_file():
                 print(f"  digest {name}: {digest} (no latent file)")

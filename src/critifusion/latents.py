@@ -20,6 +20,9 @@ from scipy.special import ndtri
 MAGIC = b"CRTFLAT1"
 MIN_DIM = 2
 MAX_DIM = 4096
+# Payload read size: a header can declare up to 4 TiB, so the payload is
+# read in chunks and memory follows what the stream really holds.
+READ_CHUNK = 1 << 20
 
 
 class LatentError(ValueError):
@@ -188,7 +191,12 @@ def read_latent(source) -> LatentField:
     if not (MIN_DIM <= height <= MAX_DIM and MIN_DIM <= width <= MAX_DIM):
         raise DimensionOverflowError(f"dimensions {height}x{width} out of range")
     n = channels * height * width
-    payload = source.read(4 * n)
+    payload = bytearray()
+    while len(payload) < 4 * n:
+        chunk = source.read(min(READ_CHUNK, 4 * n - len(payload)))
+        if not chunk:
+            break
+        payload += chunk
     if len(payload) != 4 * n:
         raise TruncatedStreamError(
             f"expected {4 * n} payload bytes, got {len(payload)}"

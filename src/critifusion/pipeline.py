@@ -490,11 +490,35 @@ def write_sweep_table(table: SweepTable, path) -> None:
             fh.write(line + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The run-record fields ``inspect`` reads: name -> (JSON type, test).  The
+# first three are required; the others may be absent or null.
+_RECORD_FIELDS = {
+    "status": ("a string", lambda v: isinstance(v, str)),
+    "base_seed": ("an integer", _is_int),
+    "stages": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    ),
+    "failed_stage": ("a string", lambda v: isinstance(v, str)),
+    "mean_score": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "degraded_calls": ("an integer", _is_int),
+    "digests": ("an object", lambda v: isinstance(v, dict)),
+    "alignment": ("an object", lambda v: isinstance(v, dict)),
+    "cadr": ("an object", lambda v: isinstance(v, dict)),
+}
+_REQUIRED_FIELDS = ("status", "base_seed", "stages")
+
+
 def read_records(path) -> list[dict]:
     """The JSON objects of a record file, one per nonblank line.
 
-    Raises ValueError for a line that is not a JSON object, or a run record
-    without ``status``, ``base_seed`` or ``stages``.
+    Raises ValueError, naming the line, for a line that is not a JSON object,
+    or a run record that lacks a required field or has a field that
+    ``inspect`` reads of the wrong JSON type.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -507,9 +531,17 @@ def read_records(path) -> list[dict]:
                 raise ValueError(f"line {lineno}: not JSON: {exc}") from exc
             if not isinstance(data, dict):
                 raise ValueError(f"line {lineno}: not a JSON object")
-            missing = {"status", "base_seed", "stages"} - set(data)
-            if data.get("kind") == "run_record" and missing:
-                raise ValueError(f"line {lineno}: run record lacks {sorted(missing)}")
+            if data.get("kind") == "run_record":
+                missing = set(_REQUIRED_FIELDS) - set(data)
+                if missing:
+                    raise ValueError(
+                        f"line {lineno}: run record lacks {sorted(missing)}"
+                    )
+                for name, (kind, is_kind) in _RECORD_FIELDS.items():
+                    value = data.get(name)
+                    required = name in _REQUIRED_FIELDS
+                    if (required or value is not None) and not is_kind(value):
+                        raise ValueError(f"line {lineno}: {name} is not {kind}")
             out.append(data)
     return out
 

@@ -1,8 +1,8 @@
 """2-D spectra, the confidence-controlled low-pass mask, and spectral fusion.
 
-All spectra are DC-centered: after the per-channel FFT the zero frequency
-sits at index (H//2, W//2).  Fusion keeps the low band of the base latent
-and the high band of the refined latent, then inverts back to a real field.
+Only the public ``Spectrum`` API is DC-centered, with the zero frequency at
+(H//2, W//2).  Fusion runs in the FFT's own order, shifting only the mask: it
+keeps the low band of the base latent and the high band of the refined one.
 """
 
 from __future__ import annotations
@@ -81,33 +81,30 @@ class MaskPlane:
 
 def forward_spectrum(field: LatentField) -> Spectrum:
     """Per-channel 2-D DFT with the DC bin shifted to (H//2, W//2)."""
-    coeffs = np.fft.fftshift(
-        np.fft.fft2(field.values.astype(np.float64), axes=(-2, -1)),
-        axes=(-2, -1),
-    )
-    return Spectrum(field.channels, field.height, field.width, coeffs)
+    coeffs = np.fft.fft2(field.values, axes=(-2, -1))
+    return Spectrum(*field.shape, np.fft.fftshift(coeffs, axes=(-2, -1)))
 
 
-def inverse_spectrum(spec: Spectrum) -> LatentField:
-    """Invert a centered spectrum back to a real field.
+def _real_inverse(coefficients: np.ndarray) -> np.ndarray:
+    """Real part of the per-channel inverse DFT of FFT-ordered coefficients.
 
-    The imaginary residue of the inverse is checked against
-    1e-6 * ||coefficients||_2; a larger residue signals a non-Hermitian
-    spectrum and raises SymmetryViolationError.
+    Raises SymmetryViolationError when the imaginary residue exceeds
+    1e-6 * ||coefficients||_2, the sign of a non-Hermitian spectrum.
     """
-    complex_field = np.fft.ifft2(
-        np.fft.ifftshift(spec.coefficients, axes=(-2, -1)), axes=(-2, -1)
-    )
-    norm = float(np.linalg.norm(spec.coefficients))
-    tol = 1e-6 * max(norm, 1e-30)
+    complex_field = np.fft.ifft2(coefficients, axes=(-2, -1))
+    tol = 1e-6 * max(float(np.linalg.norm(coefficients)), 1e-30)
     residue = float(np.abs(complex_field.imag).max())
     if residue > tol:
         raise SymmetryViolationError(
             f"imaginary residue {residue:.3e} exceeds tolerance {tol:.3e}"
         )
-    return LatentField(
-        spec.channels, spec.height, spec.width, complex_field.real
-    )
+    return complex_field.real
+
+
+def inverse_spectrum(spec: Spectrum) -> LatentField:
+    """Invert a centered spectrum back to a real field (see _real_inverse)."""
+    coeffs = np.fft.ifftshift(spec.coefficients, axes=(-2, -1))
+    return LatentField(spec.channels, spec.height, spec.width, _real_inverse(coeffs))
 
 
 def _axis_profile(size: int, half_width: int, taper_fraction: float) -> np.ndarray:
@@ -166,15 +163,17 @@ def spec_fuse(
             f"shape mismatch: z_ref {z_ref.shape} vs z_base {z_base.shape}"
         )
     mask = build_lowpass_mask(z_base.height, z_base.width, rho, taper).weights
-    spec_lo = forward_spectrum(z_base).coefficients
-    spec_hi = forward_spectrum(z_ref).coefficients
-    fused = mask[None, :, :] * spec_lo + (1.0 - mask[None, :, :]) * spec_hi
-    out = inverse_spectrum(
-        Spectrum(z_base.channels, z_base.height, z_base.width, fused)
-    )
+    mask = np.fft.ifftshift(mask)
+    fused = np.fft.fft2(z_base.values, axes=(-2, -1))
+    fused *= mask
+    high = np.fft.fft2(z_ref.values, axes=(-2, -1))
+    high *= 1.0 - mask
+    fused += high
+    del high  # frees two fields before the inverse allocates two more
+    out = _real_inverse(fused)
     if clamp:
         flat = z_base.values.reshape(z_base.channels, -1)
         lo = flat.min(axis=1)[:, None, None]
         hi = flat.max(axis=1)[:, None, None]
-        out = out.with_values(np.clip(out.values, lo, hi))
-    return out
+        np.clip(out, lo, hi, out=out)
+    return z_base.with_values(out)

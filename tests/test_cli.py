@@ -2,13 +2,15 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from critifusion import cli
 from critifusion.cadr import CadrConfig
 from critifusion.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main
-from critifusion.latents import LatentField, write_latent
+from critifusion.latents import MAGIC, LatentField, write_latent
 from critifusion.pipeline import (
     PipelineConfig,
     StageFailure,
@@ -162,11 +164,21 @@ class TestErrors:
             PipelineConfig(**{"prompt": "aurora", **rest}, cadr=CadrConfig(**cadr))
 
     def test_duplicate_k(self, tmp_path, cfg_file):
+        out = tmp_path / "o"
         code = main(
-            ["sweep-k", "--config", str(cfg_file), "--out", str(tmp_path / "o"),
-             "--k", "1,1"]
+            ["sweep-k", "--config", str(cfg_file), "--out", str(out), "--k", "1,1"]
         )
         assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_duplicate_sizes_exit_2_no_outputs(self, tmp_path, cfg_file):
+        out = tmp_path / "o"
+        code = main(
+            ["sweep-ensemble", "--config", str(cfg_file), "--out", str(out),
+             "--sizes", "1,1"]
+        )
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -177,7 +189,7 @@ class TestErrors:
         out = tmp_path / "o"
         code = main(argv + ["--config", str(cfg_file), "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert not (out / "sweep.jsonl").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -281,7 +293,32 @@ class TestRefine:
              "--latent", str(small)]
         )
         assert code == EXIT_RUN_FAILURE
-        assert not (out / "record.jsonl").exists()
+        assert not out.exists()
+
+    def test_refine_oversized_header_exit_1_no_traceback(self, tmp_path, cfg_file, capsys):
+        huge = tmp_path / "huge.crtf"
+        huge.write_bytes(MAGIC + struct.pack("<III", 2**16, 4096, 4096) + bytes(16))
+        out = tmp_path / "o"
+        code = main(
+            ["refine", "--config", str(cfg_file), "--out", str(out), "--latent", str(huge)]
+        )
+        assert code == EXIT_RUN_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("run error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_stage_failure_writes_partial_record_exit_1(
+        self, tmp_path, cfg_file, monkeypatch
+    ):
+        from test_pipeline import FailingBackend
+
+        monkeypatch.setattr(cli, "_make_backend", lambda config, endpoint: FailingBackend())
+        out = tmp_path / "o"
+        code = main(["generate", "--config", str(cfg_file), "--out", str(out)])
+        assert code == EXIT_RUN_FAILURE
+        [rec] = read_record(out)
+        assert (rec["status"], rec["failed_stage"]) == ("failed", "aggregate")
 
 
 class TestInspect:
@@ -335,6 +372,16 @@ class TestInspect:
         text = capsys.readouterr().out
         assert text.count("degraded_calls: 4 (answered by the mock)") == 1
 
+    def test_null_optional_fields_exit_0(self, tmp_path, capsys):
+        path = tmp_path / "record.jsonl"
+        fields = ("failed_stage", "mean_score", "degraded_calls", "digests",
+                  "alignment", "cadr")
+        record = {"kind": "run_record", "status": "failed", "base_seed": 0,
+                  "stages": [], **dict.fromkeys(fields)}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["inspect", str(path)]) == EXIT_OK
+        assert "record: status=failed seed=0" in capsys.readouterr().out
+
     def test_missing_record(self, tmp_path):
         assert main(["inspect", str(tmp_path / "none.jsonl")]) == EXIT_CONFIG
 
@@ -345,8 +392,16 @@ class TestInspect:
             (["[1, 2]"], "line 1: not a JSON object"),
             (['{"kind": "sweep_row"}', '{"kind": "sweep_row"}', "not json"],
              "line 3: not JSON"),
+            (['{"kind": "run_record", "status": "ok", "base_seed": 0, "stages": [],'
+              ' "mean_score": "x"}'], "line 1: mean_score is not a number"),
+            (['{"kind": "run_record", "status": "ok", "base_seed": 0, "stages": 5}'],
+             "line 1: stages is not a list of strings"),
+            (['{"kind": "sweep_row"}',
+              '{"kind": "run_record", "status": "ok", "base_seed": 0, "stages": [],'
+              ' "digests": []}'], "line 2: digests is not an object"),
         ],
-        ids=["no_status", "not_object", "not_json"],
+        ids=["no_status", "not_object", "not_json", "mean_score_str", "stages_int",
+             "digests_list"],
     )
     def test_malformed_line_exit_2(self, tmp_path, capsys, lines, message):
         path = tmp_path / "record.jsonl"

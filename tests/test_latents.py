@@ -8,6 +8,7 @@ helpers.
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from critifusion.latents import (
     MAGIC,
+    READ_CHUNK,
     BadMagicError,
     DimensionBoundsError,
     DimensionOverflowError,
@@ -164,6 +166,26 @@ class TestSerialization:
         blob = latent_bytes(make_field([1, 2, 3, 4]))
         with pytest.raises(TruncatedStreamError):
             read_latent(io.BytesIO(blob[:-4]))
+
+    @pytest.mark.parametrize("source", ["path", "file"])
+    def test_oversized_header_allocates_only_what_the_stream_holds(
+        self, tmp_path, source
+    ):
+        # The header declares 2**16 x 4096 x 4096 floats (4 TiB); 16 bytes follow.
+        path = tmp_path / "huge.crtf"
+        path.write_bytes(MAGIC + struct.pack("<III", 2**16, 4096, 4096) + bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedStreamError, match="got 16"):
+                if source == "path":
+                    read_latent(path)
+                else:
+                    with open(path, "rb") as fh:
+                        read_latent(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * READ_CHUNK
 
     def test_dimension_overflow(self):
         header = MAGIC + struct.pack("<III", 1, 5000, 2)

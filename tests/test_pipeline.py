@@ -668,3 +668,19 @@ class TestSerialization:
             p = tmp_path / f"{name}.crtf"
             write_latent(field, p)
             assert latent_digest(read_latent(p)) == rec.digests[name]
+
+
+class TestRunMemory:
+    """A whole run's peak memory is a few fields, under either sampler."""
+
+    @pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_peak_within_twelve_fields(self, size, sampler):
+        from test_diffusion import peak_bytes
+
+        config = PipelineConfig(
+            prompt=DEGRADED, seed=2, height=size, width=size, sampler=sampler
+        )
+        field = 8 * config.channels * size * size
+        peak = peak_bytes(lambda: run_critifusion(config))
+        assert peak < 12 * field
