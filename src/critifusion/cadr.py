@@ -37,6 +37,15 @@ class CadrConfig:
         for name in spans:
             if getattr(self, name) < 0:
                 raise AlignmentInputError(f"{name} must be >= 0")
+        # lambda is an img2img strength and rho a mask ratio: each of their
+        # affine ranges, endpoint to endpoint + span, must lie in [0, 1].
+        for name in ("lam", "rho"):
+            low = getattr(self, f"{name}_min")
+            high = low + getattr(self, f"{name}_span")
+            if not (0.0 <= low and high <= 1.0):
+                raise AlignmentInputError(
+                    f"{name} range [{low}, {high}] must lie in [0, 1]"
+                )
         if self.t_min < 1:
             raise AlignmentInputError(f"t_min must be >= 1, got {self.t_min}")
         if not (0.0 < self.skip_threshold <= 1.0):

@@ -94,15 +94,9 @@ def _int_list(raw: str):
 def _run_single(args) -> int:
     config, endpoint = _load(args)
     base_latent = read_latent(args.latent) if args.subcommand == "refine" else None
-    out = Path(args.out)
     backend = _make_backend(config, endpoint)
-    try:
-        record, latents = run_critifusion(config, backend, base_latent=base_latent)
-    except StageFailure as failure:
-        out.mkdir(parents=True, exist_ok=True)
-        write_run_record(failure.record, out / "record.jsonl")
-        print(f"run failed at stage {failure.stage}: {failure.cause}", file=sys.stderr)
-        return EXIT_RUN_FAILURE
+    record, latents = run_critifusion(config, backend, base_latent=base_latent)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_run_record(record, out / "record.jsonl")
     for name, filename in LATENT_FILES.items():
@@ -192,13 +186,19 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "inspect":
             return inspect(args.record)
-        if args.subcommand in ("generate", "refine"):
-            return _run_single(args)
-        return _run_sweep(args)
+        run = _run_single if args.subcommand in ("generate", "refine") else _run_sweep
+        try:
+            return run(args)
+        except StageFailure as exc:  # the failed run's partial record, sweeps too
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            write_run_record(exc.record, out / "record.jsonl")
+            print(f"run failed at stage {exc.stage}: {exc.cause}", file=sys.stderr)
+            return EXIT_RUN_FAILURE
     except (ConfigError, SweepConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AgentError, LatentError, StageFailure, OSError) as exc:
+    except (AgentError, LatentError, OSError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

@@ -226,10 +226,13 @@ def moa_aggregate(instruction: str, committee: CommitteeConfig, backend) -> str:
 
 
 def score_clauses(clauses, image: LatentField) -> CritiqueReport:
-    """Score every clause as 1 / (1 + MSE) against its unit coefficient."""
+    """Score every clause as 1 / (1 + MSE) against its unit coefficient.
+
+    No clauses leave nothing to correct: the report is empty and scores 1.
+    """
     clauses = list(clauses)
     if not clauses:
-        raise EmptyInputError("no clauses to score")
+        return CritiqueReport(clauses=(), mean_score=1.0)
     scored = []
     for clause in clauses:
         coef = pattern_coefficient(image.values, clause.clause_id)

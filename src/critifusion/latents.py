@@ -20,6 +20,7 @@ from scipy.special import ndtri
 MAGIC = b"CRTFLAT1"
 MIN_DIM = 2
 MAX_DIM = 4096
+MAX_CHANNELS = 2**16
 # Payload read size: a header can declare up to 4 TiB, so the payload is
 # read in chunks and memory follows what the stream really holds.
 READ_CHUNK = 1 << 20
@@ -45,14 +46,13 @@ class DimensionOverflowError(LatentError):
     """Serialized header declares dimensions outside the supported range."""
 
 
-def _check_dims(channels: int, height: int, width: int) -> None:
-    if channels < 1:
-        raise DimensionBoundsError(f"channels must be >= 1, got {channels}")
+def _check_dims(channels: int, height: int, width: int, error=DimensionBoundsError):
+    """The one bounds rule for latent dims; a file header passes its own error."""
+    if not (1 <= channels <= MAX_CHANNELS):
+        raise error(f"channels must be in [1, {MAX_CHANNELS}], got {channels}")
     for name, value in (("height", height), ("width", width)):
         if not (MIN_DIM <= value <= MAX_DIM):
-            raise DimensionBoundsError(
-                f"{name} must be in [{MIN_DIM}, {MAX_DIM}], got {value}"
-            )
+            raise error(f"{name} must be in [{MIN_DIM}, {MAX_DIM}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,7 @@ def read_latent(source) -> LatentField:
     if len(header) != 12:
         raise TruncatedStreamError("truncated header")
     channels, height, width = struct.unpack("<III", header)
-    if channels < 1 or channels > 2**16:
-        raise DimensionOverflowError(f"channel count {channels} out of range")
-    if not (MIN_DIM <= height <= MAX_DIM and MIN_DIM <= width <= MAX_DIM):
-        raise DimensionOverflowError(f"dimensions {height}x{width} out of range")
+    _check_dims(channels, height, width, DimensionOverflowError)
     n = channels * height * width
     payload = bytearray()
     while len(payload) < 4 * n:

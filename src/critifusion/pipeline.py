@@ -316,8 +316,7 @@ def run_critifusion(
         )
     record.hints = list(hints)
 
-    # The committee's consensus names the clauses; without the committee,
-    # the prompt itself does.
+    # Without the committee, the prompt itself is the consensus.
     if "multi_llm" in disable:
         consensus = stage("aggregate", lambda: bundle.text)
     else:
@@ -328,7 +327,12 @@ def run_critifusion(
                 committee_instruction(bundle, hints), config.committee, calls
             ),
         )
-    clauses = stage("decompose_clauses", lambda: decompose_clauses(consensus))
+    # The prompt's descriptors come first, so a committee too narrow to
+    # name one never drops it; the consensus adds its enrichments after.
+    clauses = stage(
+        "decompose_clauses",
+        lambda: decompose_clauses(bundle.text + " " + consensus),
+    )
 
     report = stage("score_clauses", lambda: score_clauses(clauses, x_base))
     record.clause_scores = {str(c.clause_id): c.score for c in report.clauses}
@@ -347,12 +351,7 @@ def run_critifusion(
         return replace(params, T_prime=config.cadr.t_max) if forced_k else params
 
     params = stage("cadr", corrective_params)
-    record.cadr = {
-        "lam": params.lam,
-        "g": params.g,
-        "T_prime": params.T_prime,
-        "rho": params.rho,
-    }
+    record.cadr = asdict(params)
 
     skip = params.T_prime == 0 or forced_k == 0
     if skip:

@@ -10,7 +10,7 @@ import pytest
 from critifusion import cli
 from critifusion.cadr import CadrConfig
 from critifusion.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main
-from critifusion.latents import MAGIC, LatentField, write_latent
+from critifusion.latents import MAGIC, MAX_CHANNELS, LatentField, write_latent
 from critifusion.pipeline import (
     PipelineConfig,
     StageFailure,
@@ -80,11 +80,17 @@ INVALID = [
     {"gamma": 0},
     {"height": 8},
     {"channels": 0},
+    # One over MAX_CHANNELS, on the smallest grid the toy basis allows.
+    {"channels": 65537, "height": 16, "width": 16, "steps": 2},
     {"base_guidance": -1},
     {"base_guidance": math.inf},
     {"cadr.lam_span": math.nan},
     {"cadr.g_min": math.nan},
     {"cadr.t_min": -40},
+    {"cadr.rho_min": 1.5},
+    {"cadr.rho_span": 2},
+    {"cadr.lam_min": -0.5},
+    {"cadr.lam_span": 5},
     {"prompt": "aurora basalt", "taper": 0.9},  # complete prompt: CADR skips
     {"diffusion_backend": "toy"},  # not a config key
 ]
@@ -162,6 +168,9 @@ class TestErrors:
         rest = {k: v for k, v in row.items() if not k.startswith("cadr.")}
         with pytest.raises(ValueError):
             PipelineConfig(**{"prompt": "aurora", **rest}, cadr=CadrConfig(**cadr))
+
+    def test_max_channels_builds(self):
+        PipelineConfig(prompt="aurora", channels=MAX_CHANNELS)
 
     def test_duplicate_k(self, tmp_path, cfg_file):
         out = tmp_path / "o"
@@ -253,6 +262,21 @@ class TestSweeps:
         )
         assert code == EXIT_OK
         assert len((out / "sweep.jsonl").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("argv", SWEEPS, ids=lambda argv: argv[0])
+    def test_failed_row_writes_partial_record_exit_1(
+        self, tmp_path, cfg_file, monkeypatch, capsys, argv
+    ):
+        from test_pipeline import FailingBackend
+
+        monkeypatch.setattr(cli, "_make_backend", lambda config, endpoint: FailingBackend())
+        out = tmp_path / "o"
+        code = main(argv + ["--config", str(cfg_file), "--out", str(out)])
+        assert code == EXIT_RUN_FAILURE
+        assert "run failed at stage aggregate" in capsys.readouterr().err
+        [rec] = read_record(out)
+        assert (rec["status"], rec["failed_stage"]) == ("failed", "aggregate")
+        assert not (out / "sweep.jsonl").exists()
 
     def test_sweep_ensemble_bad_size(self, tmp_path, cfg_file):
         code = main(

@@ -50,16 +50,18 @@ committees = st.builds(
     k_edit=st.integers(0, 16),
     k_hints=st.integers(1, 16),
 )
+# lambda and rho: an endpoint and a span whose range stays in [0, 1].
+unit_ranges = st.tuples(unit(), unit()).filter(lambda r: r[0] + r[1] <= 1.0)
 cadrs = st.builds(
-    CadrConfig,
-    lam_min=unit(),
+    lambda lam, rho, **kw: CadrConfig(
+        lam_min=lam[0], lam_span=lam[1], rho_min=rho[0], rho_span=rho[1], **kw
+    ),
+    unit_ranges,
+    unit_ranges,
     g_min=unit(0.0, 10.0),
     t_min=st.integers(1, 50),
-    rho_min=unit(),
-    lam_span=unit(),
     g_span=unit(0.0, 10.0),
     t_span=st.integers(0, 50),
-    rho_span=unit(),
     skip_threshold=unit(exclude_min=True),
 )
 betas = st.lists(unit(exclude_min=True, exclude_max=True), min_size=2, max_size=2).map(

@@ -296,9 +296,9 @@ class TestScoring:
         assert scores == pytest.approx([1.0, 0.5, 0.25], abs=1e-9)
         assert report.mean_score == pytest.approx((1 + 0.5 + 0.25) / 3, abs=1e-9)
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            score_clauses([], image_from_weights(weights()))
+    def test_no_clauses_give_an_empty_report_scoring_one(self):
+        report = score_clauses([], image_from_weights(weights()))
+        assert (report.clauses, report.mean_score) == ((), 1.0)
 
     def test_report_mean_consistency_guard(self):
         clauses = (Clause(0, ("aurora",), "entity", score=0.5),)

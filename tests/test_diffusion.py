@@ -391,6 +391,41 @@ class TestImg2Img:
             img2img_refine(z, null_conditioning(), params, s, 8, mode="banana")
 
 
+class TestGuidanceIsExact:
+    """The toy's guidance scale moves a chain by rounding only.
+
+    With the anchor T / (1 + w), the guided prediction
+    (1 + w)(z - sqrt(abar) T / (1 + w)) / sqrt(1 - abar) - w z / sqrt(1 - abar)
+    is (z - sqrt(abar) T) / sqrt(1 - abar) for every w.  The stage
+    functions are compared, not whole runs: a rounding-level change in a
+    base score can flip a T' rounding tie.
+    """
+
+    @pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
+    def test_base_guidance(self, sampler):
+        s = make_schedule(50, 1e-4, 0.02)
+        a, b = (
+            base_sample(Conditioning(embedding(0, 2, 8), w), s, sampler, 3, 4, 32, 32)
+            for w in (0.0, 7.5)
+        )
+        assert np.abs(a.values - b.values).max() < 1e-12
+
+    @pytest.mark.parametrize("mode", ["img2img", "blend"])
+    @pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
+    def test_refine_guidance(self, sampler, mode):
+        s = make_schedule(50, 1e-4, 0.02)
+        z_base = base_sample(Conditioning(embedding(0, 2, 8)), s, sampler, 3, 4, 32, 32)
+        cond = Conditioning(embedding(0, 1, 2, 3, 8, 9))
+        a, b = (
+            img2img_refine(
+                z_base, cond, CadrParams(lam=0.3, g=g, T_prime=20, rho=0.85), s, 3,
+                mode=mode,
+            )
+            for g in (1.0, 5.0)
+        )
+        assert np.abs(a.values - b.values).max() < 1e-12
+
+
 class TestTargetField:
     def test_null_is_zero(self):
         f = target_field(null_conditioning(), 2, 16, 16)

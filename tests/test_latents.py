@@ -55,6 +55,8 @@ class TestLatentField:
             LatentField(1, 1, 2, np.zeros((1, 1, 2)))
         with pytest.raises(DimensionBoundsError):
             LatentField(1, 2, 5000, np.zeros((1, 2, 5000)))
+        with pytest.raises(DimensionBoundsError):
+            LatentField(2**16 + 1, 2, 2, np.zeros((2**16 + 1, 2, 2)))
 
     def test_values_immutable(self):
         f = make_field([1, 2, 3, 4])
@@ -188,9 +190,10 @@ class TestSerialization:
         assert peak < 2 * READ_CHUNK
 
     def test_dimension_overflow(self):
-        header = MAGIC + struct.pack("<III", 1, 5000, 2)
-        with pytest.raises(DimensionOverflowError):
-            read_latent(io.BytesIO(header + b"\x00" * 16))
+        for dims in ((1, 5000, 2), (2**16 + 1, 2, 2)):
+            header = MAGIC + struct.pack("<III", *dims)
+            with pytest.raises(DimensionOverflowError):
+                read_latent(io.BytesIO(header + b"\x00" * 16))
 
     def test_path_round_trip(self, tmp_path):
         f = sample_gaussian_latent(2, 4, 4, 9)

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critifusion import pipeline, vocab
 from critifusion.agents import AgentTransportError, MockAgentBackend, mock_respond
@@ -120,9 +121,26 @@ class RunCommitteeTests(CommitteeRows):
         agent, stage, consensus = rec.transcript[-1]
         assert (agent, stage) == (0, "aggregate")
         ids = [int(j) for j in rec.clause_scores]
-        assert ids == vocab.descriptor_indices(vocab.tokenize(consensus))
-        # layer 1 also named iris and jade; agent 1 alone cannot
-        assert ids == [0, 1]
+        assert ids == vocab.descriptor_indices(vocab.tokenize(f"aurora iris {consensus}"))
+        # Layer 1 also named iris and jade; agent 1 alone cannot.  The prompt
+        # keeps iris, and the last layer's consensus adds only basalt.
+        assert ids == [0, 8, 1]
+
+    @pytest.mark.parametrize("prompt", ["meadow", "onyx prism"])
+    def test_descriptors_no_agent_names_are_still_scored(self, prompt):
+        rec, _ = run_critifusion(self.config(prompt=prompt, seed=0))
+        assert rec.status == "ok"
+        ids = [int(j) for j in rec.clause_scores]
+        assert ids == vocab.descriptor_indices(vocab.tokenize(prompt))
+        assert rec.cadr["T_prime"] == 0
+
+    def test_prompt_without_descriptors_records_zero_clauses_and_skips(self):
+        rec, lat = run_critifusion(self.config(prompt="hello world", seed=0))
+        assert rec.status == "ok"
+        assert (rec.clause_scores, rec.mean_score) == ({}, 1.0)
+        assert rec.cadr["T_prime"] == 0
+        assert rec.alignment == {"base": 1.0, "final": 1.0}
+        assert np.array_equal(lat["z_fused"].values, lat["z_base"].values)
 
 
 class TestRunCritifusion(RunCommitteeTests):
@@ -169,6 +187,35 @@ class TestRunCritifusion(RunCommitteeTests):
 
 class TestRunCritifusionOverHttp(RunCommitteeTests):
     agent_backend = "http"
+
+
+FILLER = ("a", "the", "over", "hello", "world", "quiet")
+
+
+@st.composite
+def prompts(draw):
+    """0-4 distinct descriptors and 1-3 filler words, shuffled."""
+    words = draw(st.lists(st.sampled_from(vocab.CANONICAL_NAMES), max_size=4, unique=True))
+    words += draw(st.lists(st.sampled_from(FILLER), min_size=1, max_size=3))
+    return " ".join(draw(st.permutations(words)))
+
+
+class TestEveryPromptCritiqued:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prompt=prompts(),
+        mode=st.sampled_from(["moa", "mad"]),
+        width=st.integers(1, vocab.MAX_AGENTS),
+    )
+    def test_every_run_ends_ok_and_scores_the_prompt_first(self, prompt, mode, width):
+        committee = CommitteeConfig(mode=mode, agents=width, layer_widths=(width,))
+        cfg = PipelineConfig(
+            prompt=prompt, height=16, width=16, steps=4, committee=committee
+        )
+        rec, _ = run_critifusion(cfg)
+        assert rec.status == "ok"
+        named = vocab.descriptor_indices(vocab.tokenize(prompt))
+        assert [int(j) for j in rec.clause_scores][: len(named)] == named
 
 
 class FailingBackend:
