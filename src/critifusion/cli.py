@@ -122,6 +122,11 @@ def _run_sweep(args) -> int:
         table = ablate(config, mask, backend)
     else:
         table = sweep_ensemble(config, _int_list(args.sizes), backend)
+    _write_rows(args, table)
+    return EXIT_OK
+
+
+def _write_rows(args, table) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.jsonl"
@@ -132,7 +137,6 @@ def _run_sweep(args) -> int:
             f"base={row['base_score']:.6f} final={row['final_score']:.6f}"
         )
     print(f"{len(table.rows)} rows -> {path}")
-    return EXIT_OK
 
 
 def inspect(record_path: str) -> int:
@@ -190,6 +194,8 @@ def main(argv=None) -> int:
         try:
             return run(args)
         except StageFailure as exc:  # the failed run's partial record, sweeps too
+            if exc.finished is not None and exc.finished.rows:
+                _write_rows(args, exc.finished)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             write_run_record(exc.record, out / "record.jsonl")

@@ -59,14 +59,12 @@ def make_prompt_bundle(text: str, budget: int = DEFAULT_BUDGET) -> PromptBundle:
     return PromptBundle(tuple(tokens), (0.5,) * len(tokens), budget)
 
 
-def conditioning_from_prompt(
-    bundle: PromptBundle, guidance_scale: float = 0.0
-) -> Conditioning:
+def conditioning_from_prompt(bundle: PromptBundle) -> Conditioning:
     """Binary basis weights: 1 for every descriptor the prompt mentions."""
     weights = np.zeros(N_BASIS)
     for j in vocab.descriptor_indices(bundle.tokens):
         weights[j] = 1.0
-    return Conditioning(weights, guidance_scale)
+    return Conditioning(weights)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ and toy_denoiser index alpha_bar directly (0-based t in [0, T)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,8 @@ class Conditioning:
         emb = np.asarray(self.embedding, dtype=np.float64)
         if emb.shape != (N_BASIS,):
             raise ValueError(f"embedding must have length {N_BASIS}")
+        if not (np.isfinite(emb).all() and math.isfinite(self.guidance_scale)):
+            raise ValueError("embedding and guidance scale must be finite")
         if self.guidance_scale < 0:
             raise ValueError("guidance scale must be >= 0")
         emb = emb.copy()
@@ -139,8 +142,8 @@ def toy_denoiser(
     anchor is target / (1 + w), zero for the zero (null) embedding.  The
     1/(1+w) factor pre-compensates classifier-free guidance: the (1+w)/-w
     combination of the conditional and null branches reproduces the
-    unscaled target, so the guided chain converges to target(cond) for
-    every guidance scale.
+    unscaled target for every guidance scale.  The sampler chains take
+    that combination in closed form; this form is their test oracle.
     """
     if not (0 <= t < sched.steps):
         raise StepRangeError(f"t must be in [0, {sched.steps}), got {t}")
@@ -224,15 +227,11 @@ def ddpm_step(
 
 # The chains below run the step functions' arithmetic on plain float64
 # arrays, in the same floating-point order, so their bits equal a chain of
-# toy_denoiser -> cfg_combine -> ddim_step / ddpm_step calls.  Only the
+# toy_denoiser (at guidance scale 0) -> ddim_step / ddpm_step calls: CFG
+# cancels in the toy, so neither w nor CADR's g reaches their bits.  Only the
 # result is wrapped (and checked finite) as a LatentField: every update
 # divides by a positive scalar, never by an array, so a non-finite
 # intermediate stays non-finite until the end.
-
-
-def _anchor(cond: Conditioning, w: float, shape) -> np.ndarray:
-    """toy_denoiser's anchor target / (1 + w)."""
-    return synthesize_target(cond.embedding, *shape) / (1.0 + w)
 
 
 def _abar_pair(sched: VarianceSchedule, t: int) -> tuple[float, float]:
@@ -243,16 +242,11 @@ def _abar_pair(sched: VarianceSchedule, t: int) -> tuple[float, float]:
     return abar, sched.abar(t - 1)
 
 
-def _guided_eps_into(eps, scratch, z, anchor, w: float, abar: float) -> None:
-    """eps <- (1 + w) * eps_cond - w * eps_null, both from toy_denoiser."""
-    sd = np.sqrt(1.0 - abar)
-    np.multiply(anchor, np.sqrt(abar), out=eps)
+def _eps_into(eps, z, target, abar: float) -> None:
+    """eps <- (z - sqrt(abar) * target) / sqrt(1 - abar), CFG's closed form."""
+    np.multiply(target, np.sqrt(abar), out=eps)
     np.subtract(z, eps, out=eps)
-    np.divide(eps, sd, out=eps)
-    np.divide(z, sd, out=scratch)
-    np.multiply(eps, 1.0 + w, out=eps)
-    np.multiply(scratch, w, out=scratch)
-    np.subtract(eps, scratch, out=eps)
+    np.divide(eps, np.sqrt(1.0 - abar), out=eps)
 
 
 def _ddim_into(out, z, eps, abar: float, abar_prev: float) -> None:
@@ -267,12 +261,12 @@ def _ddim_into(out, z, eps, abar: float, abar_prev: float) -> None:
     np.add(out, eps, out=out)
 
 
-def _ddim_chain(z, anchor, w: float, sched: VarianceSchedule, t_start: int):
+def _ddim_chain(z, target, sched: VarianceSchedule, t_start: int):
     """Guided DDIM updates t_start .. 1 on the float64 array z (clobbered)."""
     eps, out = np.empty_like(z), np.empty_like(z)
     for t in range(t_start, 0, -1):
         abar, abar_prev = _abar_pair(sched, t)
-        _guided_eps_into(eps, out, z, anchor, w, abar)
+        _eps_into(eps, z, target, abar)
         _ddim_into(out, z, eps, abar, abar_prev)
         z, out = out, z
     return z
@@ -297,20 +291,19 @@ def base_sample(
     height: int,
     width: int,
 ) -> LatentField:
-    """Full reverse chain from seeded noise with CFG at every step."""
+    """Full reverse chain from seeded noise; cond.guidance_scale cancels."""
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     z = sample_gaussian_latent(channels, height, width, seed).values.copy()
-    w = cond.guidance_scale
-    anchor = _anchor(cond, w, z.shape)
+    target = synthesize_target(cond.embedding, *z.shape)
     if sampler == "ddim":
-        z = _ddim_chain(z, anchor, w, sched, sched.steps)
+        z = _ddim_chain(z, target, sched, sched.steps)
     else:
-        eps, scratch = np.empty_like(z), np.empty_like(z)
+        eps = np.empty_like(z)
         noises = _noise_steps(seed, 1, z.shape)
         for t, noise in zip(range(sched.steps, 0, -1), noises):
             abar, abar_prev = _abar_pair(sched, t)
-            _guided_eps_into(eps, scratch, z, anchor, w, abar)
+            _eps_into(eps, z, target, abar)
             beta = float(sched.beta[t - 1])
             sigma2 = beta * (1.0 - abar_prev) / (1.0 - abar)
             np.multiply(eps, beta, out=eps)
@@ -351,7 +344,7 @@ def img2img_refine(
     the first noise field of the Philox stream (seed +
     CORRECTIVE_SEED_OFFSET, 0), and runs the remaining reverse steps as
     deterministic DDIM (eta = 0) updates, whatever sampler drew z_base,
-    with CFG scale w = max(g - 1, 0).
+    under the guided prediction in closed form, in which g cancels.
     T' == 0 returns z_base unchanged.
     In ``blend`` mode the update is the per-step convex combination
     (1 - a) * z + a * step(z) + sqrt(beta_t) * eps with a = lambda, run
@@ -364,8 +357,7 @@ def img2img_refine(
     if mode not in REFINE_MODES:
         raise ValueError(f"mode must be one of {REFINE_MODES}, got {mode!r}")
     sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
-    w = max(float(params.g) - 1.0, 0.0)
-    anchor = _anchor(cond, w, z_base.shape)
+    target = synthesize_target(cond.embedding, *z_base.shape)
     corr_seed = seed + CORRECTIVE_SEED_OFFSET
 
     if mode == "blend":
@@ -375,7 +367,7 @@ def img2img_refine(
         noises = _noise_steps(corr_seed, 0, z.shape)
         for t, noise in zip(range(T_prime, 0, -1), noises):
             abar, abar_prev = _abar_pair(sub, t)
-            _guided_eps_into(eps, out, z, anchor, w, abar)
+            _eps_into(eps, z, target, abar)
             _ddim_into(out, z, eps, abar, abar_prev)
             np.multiply(z, 1.0 - alpha, out=z)
             np.multiply(out, alpha, out=out)
@@ -395,4 +387,4 @@ def img2img_refine(
     renoise = _gaussian_stream(corr_seed, z_base.values.size).astype(np.float32)
     z = np.sqrt(abar) * z_base.values
     z += np.sqrt(1.0 - abar) * renoise.astype(np.float64).reshape(z_base.shape)
-    return z_base.with_values(_ddim_chain(z, anchor, w, sub, t_start))
+    return z_base.with_values(_ddim_chain(z, target, sub, t_start))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
@@ -71,6 +70,7 @@ class StageFailure(PipelineError):
         self.stage = stage
         self.record = record
         self.cause = cause
+        self.finished = None  # from a sweep: a SweepTable of the rows before it
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class PipelineConfig:
     beta_end: float = 0.02
     sampler: str = "ddim"
     refine_mode: str = "img2img"
-    base_guidance: float = 0.0
     seed: int = 0
     budget: int = DEFAULT_BUDGET
     taper: float = 0.10
@@ -109,10 +108,6 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if not (math.isfinite(self.base_guidance) and self.base_guidance >= 0):
-            raise ValueError(
-                f"base_guidance must be finite and >= 0, got {self.base_guidance}"
-            )
         _check_dims(self.channels, self.height, self.width)
         _check_toy_dims(self.height, self.width)
         make_schedule(self.steps, self.beta_start, self.beta_end)
@@ -293,7 +288,7 @@ def run_critifusion(
         lambda: base_latent
         if base_latent is not None
         else base_sample(
-            conditioning_from_prompt(bundle, config.base_guidance),
+            conditioning_from_prompt(bundle),
             sched,
             config.sampler,
             config.seed,
@@ -401,7 +396,8 @@ def _sweep(axis: str, rows, backend):
 
     No rows, or a repeated axis value, fails before any run.  Rows differ
     only downstream of ``base_sample``, so the first row samples the base
-    latent and every later row reuses it.
+    latent and every later row reuses it.  A failing row's StageFailure
+    leaves with the rows finished before it.
     """
     values = [value for value, _, _ in rows]
     if not values:
@@ -411,9 +407,13 @@ def _sweep(axis: str, rows, backend):
     out = []
     base_latent = None
     for value, config, kwargs in rows:
-        record, latents = run_critifusion(
-            config, backend, base_latent=base_latent, **kwargs
-        )
+        try:
+            record, latents = run_critifusion(
+                config, backend, base_latent=base_latent, **kwargs
+            )
+        except StageFailure as exc:
+            exc.finished = SweepTable(axis=axis, rows=tuple(out))
+            raise
         base_latent = latents["z_base"]
         out.append(
             {

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from critifusion import cli
+from critifusion import cli, pipeline
 from critifusion.cadr import CadrConfig
 from critifusion.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main
 from critifusion.latents import MAGIC, MAX_CHANNELS, LatentField, write_latent
@@ -82,8 +82,6 @@ INVALID = [
     {"channels": 0},
     # One over MAX_CHANNELS, on the smallest grid the toy basis allows.
     {"channels": 65537, "height": 16, "width": 16, "steps": 2},
-    {"base_guidance": -1},
-    {"base_guidance": math.inf},
     {"cadr.lam_span": math.nan},
     {"cadr.g_min": math.nan},
     {"cadr.t_min": -40},
@@ -92,13 +90,22 @@ INVALID = [
     {"cadr.lam_min": -0.5},
     {"cadr.lam_span": 5},
     {"prompt": "aurora basalt", "taper": 0.9},  # complete prompt: CADR skips
-    {"diffusion_backend": "toy"},  # not a config key
+    # Deleted keys: no config names them any more.
+    {"diffusion_backend": "toy"},
+    {"base_guidance": 0},  # the toy's guidance scale cancels
 ]
+DELETED_KEYS = {"diffusion_backend", "base_guidance"}
 
 
 
 # Sweep subcommands, each with its required axis argument.
 SWEEPS = (["sweep-k", "--k", "0"], ["ablate"], ["sweep-ensemble", "--sizes", "1"])
+# The same subcommands with two rows each, and the first row's axis value.
+TWO_ROWS = {
+    "sweep-k": (["sweep-k", "--k", "0,30"], 0),
+    "ablate": (["ablate", "--mask", "vlm"], "full"),
+    "sweep-ensemble": (["sweep-ensemble", "--sizes", "1,2"], 1),
+}
 
 
 def row_id(row):
@@ -159,7 +166,7 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "row",
-        [row for row in INVALID if "diffusion_backend" not in row]
+        [row for row in INVALID if not DELETED_KEYS & row.keys()]
         + [{"refine_mode": "bogus"}],
         ids=row_id,
     )
@@ -277,6 +284,26 @@ class TestSweeps:
         [rec] = read_record(out)
         assert (rec["status"], rec["failed_stage"]) == ("failed", "aggregate")
         assert not (out / "sweep.jsonl").exists()
+
+        # Only the last row fails: the row finished before it is written.
+        monkeypatch.undo()
+        runs = []
+
+        def last_row_fails(config, backend=None, **kwargs):
+            runs.append(config)
+            if len(runs) == 2:
+                backend = FailingBackend()
+            return run_critifusion(config, backend, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_critifusion", last_row_fails)
+        two_rows, first_value = TWO_ROWS[argv[0]]
+        out = tmp_path / "last"
+        code = main(two_rows + ["--config", str(cfg_file), "--out", str(out)])
+        assert code == EXIT_RUN_FAILURE
+        lines = (out / "sweep.jsonl").read_text().splitlines()
+        assert [json.loads(line)["axis_value"] for line in lines] == [first_value]
+        [rec] = read_record(out)
+        assert (rec["status"], rec["failed_stage"]) == ("failed", "aggregate")
 
     def test_sweep_ensemble_bad_size(self, tmp_path, cfg_file):
         code = main(

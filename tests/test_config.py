@@ -78,7 +78,6 @@ configs = st.builds(
     steps=st.integers(1, 100),
     sampler=st.sampled_from(["ddim", "ddpm"]),
     refine_mode=st.sampled_from(["img2img", "blend"]),
-    base_guidance=unit(0.0, 10.0),
     seed=st.integers(0, 2**64 - 1),
     budget=st.integers(1, 200),
     taper=unit(0.0, 0.5),

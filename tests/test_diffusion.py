@@ -4,7 +4,9 @@ The sampler checks run against an independent step-by-step trace oracle
 that re-derives each update from the raw formulas using plain Python
 floats, sharing no code with the implementation.  The array chains are
 also checked bit for bit against a reference chain of the public step
-functions, and for memory that does not grow with the step count.
+functions that takes the guided prediction in closed form, within 1e-12
+against one that builds both CFG branches, and for memory that does not
+grow with the step count.
 """
 
 import math
@@ -105,6 +107,21 @@ class TestForwardNoise:
         s = make_schedule(2, 0.1, 0.2)
         with pytest.raises(StepRangeError):
             forward_noise(const_field(0.0), 2, s, const_field(0.0))
+
+
+class TestConditioning:
+    @pytest.mark.parametrize(
+        "embedding, scale",
+        [
+            (np.zeros(16), math.nan),
+            (np.zeros(16), math.inf),
+            (np.full(16, math.nan), 0.0),
+        ],
+        ids=["nan_scale", "inf_scale", "nan_embedding"],
+    )
+    def test_non_finite_rejected(self, embedding, scale):
+        with pytest.raises(ValueError):
+            Conditioning(embedding, scale)
 
 
 class TestToyDenoiser:
@@ -392,13 +409,12 @@ class TestImg2Img:
 
 
 class TestGuidanceIsExact:
-    """The toy's guidance scale moves a chain by rounding only.
+    """The toy's guidance scale does not move a chain's bits.
 
     With the anchor T / (1 + w), the guided prediction
     (1 + w)(z - sqrt(abar) T / (1 + w)) / sqrt(1 - abar) - w z / sqrt(1 - abar)
-    is (z - sqrt(abar) T) / sqrt(1 - abar) for every w.  The stage
-    functions are compared, not whole runs: a rounding-level change in a
-    base score can flip a T' rounding tie.
+    is (z - sqrt(abar) T) / sqrt(1 - abar) for every w, and the chains
+    compute that closed form, which reads neither w nor CADR's g.
     """
 
     @pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
@@ -408,7 +424,7 @@ class TestGuidanceIsExact:
             base_sample(Conditioning(embedding(0, 2, 8), w), s, sampler, 3, 4, 32, 32)
             for w in (0.0, 7.5)
         )
-        assert np.abs(a.values - b.values).max() < 1e-12
+        assert a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("mode", ["img2img", "blend"])
     @pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
@@ -423,7 +439,7 @@ class TestGuidanceIsExact:
             )
             for g in (1.0, 5.0)
         )
-        assert np.abs(a.values - b.values).max() < 1e-12
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestTargetField:
@@ -446,7 +462,9 @@ class TestTargetField:
 
 
 # Reference chains: one LatentField per step-function call, all noise drawn
-# up front.  The sampler chains must reproduce these bits exactly.
+# up front.  With the closed-form prediction the sampler chains must
+# reproduce these bits exactly; with the two-branch CFG prediction, to
+# within 1e-12.
 
 
 def ref_noise_fields(seed, stream, count, c, h, w):
@@ -459,16 +477,22 @@ def ref_noise_fields(seed, stream, count, c, h, w):
 
 
 def ref_guided_eps(z, t, cond, w, sched):
+    """The guided prediction in closed form: toy_denoiser at scale 0."""
+    return toy_denoiser(z, t - 1, Conditioning(cond.embedding), sched)
+
+
+def two_branch_eps(z, t, cond, w, sched):
+    """CFG as written: (1 + w) * eps_cond - w * eps_null."""
     eps_c = toy_denoiser(z, t - 1, cond, sched)
     eps_u = toy_denoiser(z, t - 1, null_conditioning(), sched)
     return cfg_combine(eps_c, eps_u, w)
 
 
-def ref_base_sample(cond, sched, sampler, seed, c, h, w):
+def ref_base_sample(cond, sched, sampler, seed, c, h, w, guided_eps=ref_guided_eps):
     z = sample_gaussian_latent(c, h, w, seed)
     noises = ref_noise_fields(seed, 1, sched.steps, c, h, w)
     for t in range(sched.steps, 0, -1):
-        eps = ref_guided_eps(z, t, cond, cond.guidance_scale, sched)
+        eps = guided_eps(z, t, cond, cond.guidance_scale, sched)
         if sampler == "ddim":
             z = ddim_step(z, t, eps, sched)
         else:
@@ -476,7 +500,7 @@ def ref_base_sample(cond, sched, sampler, seed, c, h, w):
     return z
 
 
-def ref_refine(z_base, cond, params, sched, seed, mode):
+def ref_refine(z_base, cond, params, sched, seed, mode, guided_eps=ref_guided_eps):
     T_prime = params.T_prime
     sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
     w = max(params.g - 1.0, 0.0)
@@ -486,7 +510,7 @@ def ref_refine(z_base, cond, params, sched, seed, mode):
     if mode == "blend":
         z = z_base
         for t in range(T_prime, 0, -1):
-            stepped = ddim_step(z, t, ref_guided_eps(z, t, guided, w, sub), sub)
+            stepped = ddim_step(z, t, guided_eps(z, t, guided, w, sub), sub)
             out = (
                 (1.0 - params.lam) * z.values
                 + params.lam * stepped.values
@@ -498,7 +522,7 @@ def ref_refine(z_base, cond, params, sched, seed, mode):
     t_start = T_prime - strength_to_start(k, T_prime).t0
     z = forward_noise(z_base, t_start - 1, sub, noises[0])
     for t in range(t_start, 0, -1):
-        z = ddim_step(z, t, ref_guided_eps(z, t, guided, w, sub), sub)
+        z = ddim_step(z, t, guided_eps(z, t, guided, w, sub), sub)
     return z
 
 
@@ -523,6 +547,8 @@ class TestChainsMatchStepFunctions:
         out = base_sample(cond, s, sampler, 4, *DIMS)
         ref = ref_base_sample(cond, s, sampler, 4, *DIMS)
         assert out.values.tobytes() == ref.values.tobytes()
+        cfg = ref_base_sample(cond, s, sampler, 4, *DIMS, guided_eps=two_branch_eps)
+        assert np.abs(out.values - cfg.values).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["prompt", "null"])
     @pytest.mark.parametrize("g", [1.0, 4.0])  # w = 0 and w = 3
@@ -536,6 +562,8 @@ class TestChainsMatchStepFunctions:
         ref = ref_refine(z_base, cond, params, s, 2, mode)
         assert not np.array_equal(out.values, z_base.values)
         assert out.values.tobytes() == ref.values.tobytes()
+        cfg = ref_refine(z_base, cond, params, s, 2, mode, guided_eps=two_branch_eps)
+        assert np.abs(out.values - cfg.values).max() < 1e-12
 
 
 def peak_bytes(fn):

@@ -9,9 +9,14 @@ and MAD runs share one row.
 
 ``TABLES`` pins the SHA-256 of each sweep harness's JSON lines the same
 way, for ``aurora`` and for the skip prompt ``aurora basalt`` (T' = 0).
+
+``PYTHONPATH=src python tests/test_golden.py`` prints the current pins in
+this file's literal format, so a named digest change re-pins by pasting
+its output and the diff shows exactly which pins moved.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -28,8 +33,8 @@ from critifusion.pipeline import (
 GOLDEN = {
     (0, "ddim", "img2img"): (
         "a219c577d7aea7c67beb4b956a4262ebc26946409cf47d738f25c188ee5125bc",
-        "a046023842a6b045bc2f86d723763d9c191a31eb730c44d9f6b4a072b38b5954",
-        "dbf053ff05a543aac751485984abfc4863c9ec3baed7c4eadaff0ff14cc530ad",
+        "2a439b50d584340ccfddf350a3eaca40c5aac0e7190703fba532dbffca0b8880",
+        "e99cc595e99c6be3a7c606ac61d2e852c031acc6902e967a80b6d4eb73616a80",
     ),
     (0, "ddim", "blend"): (
         "a219c577d7aea7c67beb4b956a4262ebc26946409cf47d738f25c188ee5125bc",
@@ -38,7 +43,7 @@ GOLDEN = {
     ),
     (0, "ddpm", "img2img"): (
         "078c7765cc34f0396f3bcda636e2e337e2eeeb9c9bba3d44cca05478e739d70b",
-        "0c37675d8d044b3c334945cc90dae8ecdbf3555cefaa0d40555e859dc57ebb18",
+        "317f193dcc8b7557a65345efcacd86d77014a417cd6b59328ca1b5b6b31a29e1",
         "11d9d31e2b1db92107844a6b91d177db6dd3952361068d541e22900083f6a764",
     ),
     (0, "ddpm", "blend"): (
@@ -48,8 +53,8 @@ GOLDEN = {
     ),
     (3, "ddim", "img2img"): (
         "6a740f85b1972181221e86fea99ab233c858d8df4f195037c367fd4bb2fb3077",
-        "abcc9fa3ba4e38117d2bdd81e18eca24f6e55d6afd0f67908160de479c7ea92a",
-        "585f36f3adc20c8cf07090a9add752bb8c5e348d18068cd70a29b182ec209f95",
+        "0431f68d605c68213211bc65184bfd1100b5c44767efa6d576de0c564106a9dc",
+        "a1e633d0f056af44664d51908e26314395303421bc001cccef65ffeddb9b6f8e",
     ),
     (3, "ddim", "blend"): (
         "6a740f85b1972181221e86fea99ab233c858d8df4f195037c367fd4bb2fb3077",
@@ -58,7 +63,7 @@ GOLDEN = {
     ),
     (3, "ddpm", "img2img"): (
         "029afe5aa8e7c892ab301272cfbbb696421b09dae5c6a7ad45318400c6bec346",
-        "4948ab231e80ce6681d278755ced2a18b8f8cc560cd3784fc7c62f9690b3e480",
+        "164592394f09dc4b52121135853229dbf1610a095ff3177abc5c2959dc21f77a",
         "39443ff93c335ce09b6f1980e30ca4beb1e4bcd0fb1bc5fea68414187ca398c4",
     ),
     (3, "ddpm", "blend"): (
@@ -69,9 +74,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("committee_mode", ["moa", "mad"])
-@pytest.mark.parametrize("seed, sampler, refine_mode", sorted(GOLDEN))
-def test_stage_digests_are_pinned(seed, sampler, refine_mode, committee_mode):
+def stage_digests(seed, sampler, refine_mode, committee_mode="moa"):
     config = PipelineConfig(
         prompt="aurora",
         seed=seed,
@@ -81,7 +84,13 @@ def test_stage_digests_are_pinned(seed, sampler, refine_mode, committee_mode):
     )
     record, _ = run_critifusion(config)
     assert record.cadr["T_prime"] > 0
-    got = tuple(record.digests[name] for name in ("z_base", "z_ref", "z_fused"))
+    return tuple(record.digests[name] for name in ("z_base", "z_ref", "z_fused"))
+
+
+@pytest.mark.parametrize("committee_mode", ["moa", "mad"])
+@pytest.mark.parametrize("seed, sampler, refine_mode", sorted(GOLDEN))
+def test_stage_digests_are_pinned(seed, sampler, refine_mode, committee_mode):
+    got = stage_digests(seed, sampler, refine_mode, committee_mode)
     assert got == GOLDEN[(seed, sampler, refine_mode)]
 
 
@@ -132,9 +141,7 @@ TABLES = {
 }
 
 
-@pytest.mark.parametrize("committee_mode", ["moa", "mad"])
-@pytest.mark.parametrize("prompt, sampler, harness", sorted(TABLES))
-def test_harness_tables_are_pinned(prompt, sampler, harness, committee_mode):
+def table_digest(prompt, sampler, harness, committee_mode="moa"):
     config = PipelineConfig(
         prompt=prompt,
         seed=2,
@@ -143,5 +150,35 @@ def test_harness_tables_are_pinned(prompt, sampler, harness, committee_mode):
     )
     run, axis = HARNESSES[harness]
     lines = run(config, axis).to_json_lines()
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == TABLES[(prompt, sampler, harness)]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("committee_mode", ["moa", "mad"])
+@pytest.mark.parametrize("prompt, sampler, harness", sorted(TABLES))
+def test_harness_tables_are_pinned(prompt, sampler, harness, committee_mode):
+    got = table_digest(prompt, sampler, harness, committee_mode)
+    assert got == TABLES[(prompt, sampler, harness)]
+
+
+def print_pins():
+    """Print GOLDEN and TABLES as computed now, in this file's format."""
+
+    def key(parts):
+        return "(" + ", ".join(json.dumps(part) for part in parts) + ")"
+
+    for name, pins, compute in (
+        ("GOLDEN", GOLDEN, lambda k: stage_digests(*k)),
+        ("TABLES", TABLES, lambda k: (table_digest(*k),)),
+    ):
+        print(f"{name} = {{")
+        for parts in pins:
+            digests = compute(parts)
+            print(f"    {key(parts)}: (")
+            for digest in digests:
+                print(f'        "{digest}"' + ("," if len(digests) > 1 else ""))
+            print("    ),")
+        print("}\n")
+
+
+if __name__ == "__main__":
+    print_pins()
