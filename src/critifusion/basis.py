@@ -31,14 +31,16 @@ def basis_frequencies(index: int, height: int, width: int) -> tuple[int, int]:
     return (height // 2 - 1 - index // 4, width // 2 - 1 - index % 4)
 
 
+def _cosines(freqs, size: int) -> np.ndarray:
+    """size x len(freqs) columns cos(2*pi*f*n/size), n = 0 .. size - 1."""
+    n = np.arange(size, dtype=np.float64)[:, None]
+    return np.cos(2.0 * np.pi * np.asarray(freqs, dtype=np.float64) * n / size)
+
+
 def basis_plane(index: int, height: int, width: int) -> np.ndarray:
     """H x W pattern cos(2*pi*a*y/H) * cos(2*pi*b*x/W)."""
     a, b = basis_frequencies(index, height, width)
-    y = np.arange(height, dtype=np.float64)
-    x = np.arange(width, dtype=np.float64)
-    return np.outer(
-        np.cos(2.0 * np.pi * a * y / height), np.cos(2.0 * np.pi * b * x / width)
-    )
+    return np.outer(_cosines([a], height), _cosines([b], width))
 
 
 def synthesize_target(
@@ -54,14 +56,16 @@ def synthesize_target(
     return np.broadcast_to(plane, (channels, height, width)).copy()
 
 
-def pattern_coefficient(values: np.ndarray, index: int) -> float:
-    """Projection of a C x H x W field onto pattern ``index``.
+def pattern_coefficients(values: np.ndarray) -> np.ndarray:
+    """Projections of a C x H x W field onto every pattern of the bank.
 
-    Returns <x, p> / <p, p> averaged over channels; exact for mixtures of
-    the bank because distinct patterns are orthogonal on the grid.
+    Entry j is <x, p_j> / <p_j, p_j> averaged over channels; exact for
+    mixtures of the bank because distinct patterns are orthogonal on the
+    grid.  The patterns are separable, so the channel mean meets one H x N
+    and one W x N cosine matrix and no H x W plane is built.
     """
     _, height, width = values.shape
-    plane = basis_plane(index, height, width)
-    norm = float(np.sum(plane * plane))
-    per_channel = np.tensordot(values, plane, axes=([1, 2], [0, 1]))
-    return float(per_channel.mean() / norm)
+    a, b = zip(*(basis_frequencies(j, height, width) for j in range(N_BASIS)))
+    cos_y, cos_x = _cosines(a, height), _cosines(b, width)
+    inner = np.sum(cos_y * (values.mean(axis=0) @ cos_x), axis=0)
+    return inner / (np.sum(cos_y**2, axis=0) * np.sum(cos_x**2, axis=0))

@@ -11,6 +11,11 @@ import math
 from dataclasses import dataclass
 
 
+# A mean of clause scores lands a few ULPs off a tie such as 0.9 or 0.75;
+# rounding first keeps the skip test and the half-up T' off that noise.
+SCORE_DECIMALS = 12
+
+
 class AlignmentInputError(ValueError):
     pass
 
@@ -70,13 +75,13 @@ class CadrParams:
 def cadr_from_alignment(s: float, config: CadrConfig = CadrConfig()) -> CadrParams:
     """Affine interpolation of the corrective hyperparameters from score s.
 
-    s is clamped to [0, 1] first.  Above the skip threshold the step count
-    is 0 and the remaining fields report their s = 1 endpoints so records
-    stay schema-complete.  The step count rounds half-up.
+    s is rounded to 12 decimals and clamped to [0, 1] first.  Above the skip
+    threshold the step count is 0 and the remaining fields report their
+    s = 1 endpoints so records stay schema-complete.  T' rounds half-up.
     """
     if not math.isfinite(s):
         raise AlignmentInputError(f"alignment score must be finite, got {s}")
-    s = min(max(s, 0.0), 1.0)
+    s = min(max(round(s, SCORE_DECIMALS), 0.0), 1.0)
     if s > config.skip_threshold:
         return CadrParams(
             lam=config.lam_min,

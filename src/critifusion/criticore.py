@@ -1,9 +1,9 @@
 """Prompt critique: hints, clause decomposition, committees, scoring, merge.
 
-The offline path is fully analytic: the VLM stand-in reads pattern
-coefficients straight off the image, mock agents speak the shared
-descriptor vocabulary, and the clause scorer is 1 / (1 + MSE) against a
-unit target coefficient per clause.
+The offline path is fully analytic: the VLM stand-in and the clause scorer
+read an image once, as its ``pattern_coefficients`` vector; mock agents
+speak the shared descriptor vocabulary, and a clause scores 1 / (1 + MSE)
+against its unit target coefficient.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import numpy as np
 
 from . import vocab
 from .agents import make_request
-from .basis import N_BASIS, pattern_coefficient
+from .basis import N_BASIS
 from .diffusion import Conditioning
-from .latents import LatentField
 
 HINT_THRESHOLD = 0.1
 CLAUSE_KINDS = ("entity", "attribute", "relation")
@@ -116,8 +115,8 @@ class CommitteeConfig:
             raise CommitteeConfigError("k_edit must be >= 0 and k_hints >= 1")
 
 
-def vlm_hints(image: LatentField, prompt: PromptBundle, k_hints: int = 5) -> list[str]:
-    """Grounded hints: where the image's pattern coefficients miss the prompt.
+def vlm_hints(coefs: np.ndarray, prompt: PromptBundle, k_hints: int = 5) -> list[str]:
+    """Grounded hints: where an image's pattern coefficients miss the prompt.
 
     Every basis pattern is checked against its desired coefficient (1 when
     the prompt names it, 0 otherwise); mismatches above threshold become
@@ -129,7 +128,7 @@ def vlm_hints(image: LatentField, prompt: PromptBundle, k_hints: int = 5) -> lis
     wanted = set(vocab.descriptor_indices(prompt.tokens))
     mismatches = []
     for j in range(N_BASIS):
-        coef = pattern_coefficient(image.values, j)
+        coef = float(coefs[j])
         desired = 1.0 if j in wanted else 0.0
         gap = abs(coef - desired)
         if gap > HINT_THRESHOLD:
@@ -223,7 +222,7 @@ def moa_aggregate(instruction: str, committee: CommitteeConfig, backend) -> str:
     return synthesis
 
 
-def score_clauses(clauses, image: LatentField) -> CritiqueReport:
+def score_clauses(clauses, coefs: np.ndarray) -> CritiqueReport:
     """Score every clause as 1 / (1 + MSE) against its unit coefficient.
 
     No clauses leave nothing to correct: the report is empty and scores 1.
@@ -233,7 +232,7 @@ def score_clauses(clauses, image: LatentField) -> CritiqueReport:
         return CritiqueReport(clauses=(), mean_score=1.0)
     scored = []
     for clause in clauses:
-        coef = pattern_coefficient(image.values, clause.clause_id)
+        coef = float(coefs[clause.clause_id])
         mse = (coef - 1.0) ** 2
         scored.append(replace(clause, score=1.0 / (1.0 + mse)))
     mean = sum(c.score for c in scored) / len(scored)

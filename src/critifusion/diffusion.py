@@ -27,6 +27,7 @@ SAMPLERS = ("ddim", "ddpm")
 REFINE_MODES = ("img2img", "blend")
 # The corrective pass draws its noise from the (seed + offset, 0) stream.
 CORRECTIVE_SEED_OFFSET = 999
+MAX_STEPS = 1000  # the longest schedule, for sampling and for the corrective T'
 
 
 class ScheduleError(ValueError):
@@ -95,8 +96,8 @@ class StrengthMap:
 
 def make_schedule(T: int, beta_start: float, beta_end: float) -> VarianceSchedule:
     """Linearly spaced betas; alpha_bar accumulated in 64-bit."""
-    if T < 1:
-        raise ScheduleError(f"T must be >= 1, got {T}")
+    if not (1 <= T <= MAX_STEPS):
+        raise ScheduleError(f"T must be in [1, {MAX_STEPS}], got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ScheduleError(
             f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"

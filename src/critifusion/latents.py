@@ -149,17 +149,6 @@ def sample_gaussian_latent(
     return LatentField(channels, height, width, draws.reshape(channels, height, width))
 
 
-def apply_vae_scale(field: LatentField, scale: VaeScale, direction: str) -> LatentField:
-    """Encode multiplies values by gamma, decode divides."""
-    if direction == "encode":
-        out = field.values * scale.gamma
-    elif direction == "decode":
-        out = field.values / scale.gamma
-    else:
-        raise LatentError(f"direction must be 'encode' or 'decode', got {direction!r}")
-    return field.with_values(out)
-
-
 def write_latent(field: LatentField, sink) -> None:
     """Serialize: magic, three u32le dims, then float32le values (C outermost).
 

@@ -11,7 +11,7 @@ from functools import partial
 
 from . import vocab
 from .agents import AgentError, MockAgentBackend, mock_respond
-from .basis import _check_toy_dims
+from .basis import _check_toy_dims, pattern_coefficients
 from .cadr import CadrConfig, cadr_from_alignment
 from .criticore import (
     DEFAULT_BUDGET,
@@ -34,8 +34,7 @@ from .diffusion import (
     img2img_refine,
     make_schedule,
 )
-from .latents import LatentError, LatentField, VaeScale, _check_dims
-from .latents import apply_vae_scale, latent_digest
+from .latents import LatentError, LatentField, VaeScale, _check_dims, latent_digest
 from .spectral import TaperSpec, spec_fuse
 
 STAGES = (
@@ -110,7 +109,8 @@ class PipelineConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         _check_dims(self.channels, self.height, self.width)
         _check_toy_dims(self.height, self.width)
-        make_schedule(self.steps, self.beta_start, self.beta_end)
+        for steps in (self.steps, self.cadr.t_max):  # sampling, longest correction
+            make_schedule(steps, self.beta_start, self.beta_end)
         VaeScale(self.gamma)
         TaperSpec(self.taper)
 
@@ -265,7 +265,6 @@ def run_critifusion(
         concurrent=config.agent_backend == "http",
     )
     latents: dict[str, LatentField] = {}
-    scale = VaeScale(config.gamma)
     sched = make_schedule(config.steps, config.beta_start, config.beta_end)
     bundle = make_prompt_bundle(config.prompt, config.budget)
 
@@ -300,14 +299,19 @@ def run_critifusion(
     latents["z_base"] = z_base
     record.digests["z_base"] = latent_digest(z_base)
 
-    x_base = stage("decode", lambda: apply_vae_scale(z_base, scale, "decode"))
+    def decode(z: LatentField):
+        # The critique reads an image only as its pattern coefficients, and
+        # decoding's division by gamma commutes with the projection.
+        return pattern_coefficients(z.values) / config.gamma
+
+    coefs = stage("decode", lambda: decode(z_base))
 
     if "vlm" in disable:
         hints = stage("vlm_hints", lambda: [])
     else:
         hints = stage(
             "vlm_hints",
-            lambda: vlm_hints(x_base, bundle, k_hints=config.committee.k_hints),
+            lambda: vlm_hints(coefs, bundle, k_hints=config.committee.k_hints),
         )
     record.hints = list(hints)
 
@@ -329,7 +333,7 @@ def run_critifusion(
         lambda: decompose_clauses(bundle.text + " " + consensus),
     )
 
-    report = stage("score_clauses", lambda: score_clauses(clauses, x_base))
+    report = stage("score_clauses", lambda: score_clauses(clauses, coefs))
     record.clause_scores = {str(c.clause_id): c.score for c in report.clauses}
     record.mean_score = report.mean_score
     record.alignment["base"] = report.mean_score
@@ -381,10 +385,7 @@ def run_critifusion(
     record.digests["z_fused"] = latent_digest(z_fused)
 
     final_report = stage(
-        "decode_final",
-        lambda: score_clauses(
-            report.clauses, apply_vae_scale(z_fused, scale, "decode")
-        ),
+        "decode_final", lambda: score_clauses(report.clauses, decode(z_fused))
     )
     record.alignment["final"] = final_report.mean_score
     record.status = "ok"

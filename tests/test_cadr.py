@@ -47,6 +47,12 @@ class TestRounding:
         p = cadr_from_alignment(0.75)
         assert p.T_prime == 20
 
+    def test_last_ulp_noise_is_rounded_away(self):
+        # A mean of clause scores lands a few ULPs off the decimal it means.
+        assert cadr_from_alignment(0.9000000000000004) == cadr_from_alignment(0.9)
+        assert cadr_from_alignment(0.7500000000000002).T_prime == 20
+        assert cadr_from_alignment(0.7499999999999998).T_prime == 20
+
     def test_independent_recomputation(self):
         for i in range(91):
             s = i / 100

@@ -74,6 +74,8 @@ class TestGenerate:
 # Each row is rejected when the config is built, before any stage runs.
 INVALID = [
     {"steps": 0},
+    {"steps": 1001},  # one over MAX_STEPS
+    {"cadr.t_span": 985},  # the longest corrective pass, 16 + 985, is 1001
     {"beta_start": 0.5, "beta_end": 0.1},
     {"budget": -1},
     {"budget": 0},

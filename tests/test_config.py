@@ -36,7 +36,8 @@ def to_text(config, endpoint=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Bounded draws only: the schedule and the samplers allocate O(steps * C*H*W).
+# Small draws keep the round trip quick: a config builds its two schedules,
+# O(steps + cadr.t_max), when it is built.
 def unit(lo=0.0, hi=1.0, **kw):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 

@@ -9,7 +9,7 @@ import pytest
 
 from critifusion import vocab
 from critifusion.agents import MockAgentBackend
-from critifusion.basis import basis_plane
+from critifusion.basis import pattern_coefficients
 from critifusion.criticore import (
     Clause,
     CommitteeConfig,
@@ -33,9 +33,10 @@ from critifusion.diffusion import Conditioning, target_field
 from critifusion.latents import LatentField
 
 
-def image_from_weights(weights, h=32, w=32):
+def coefs_from_weights(weights, h=32, w=32):
+    """The pattern coefficients of the image mixing the bank by ``weights``."""
     cond = Conditioning(np.asarray(weights, dtype=float), 0.0)
-    return target_field(cond, 1, h, w)
+    return pattern_coefficients(target_field(cond, 1, h, w).values)
 
 
 def weights(*indices, **scaled):
@@ -71,19 +72,19 @@ class TestPromptBundle:
 class TestVlmHints:
     def test_perfect_match_no_hints(self):
         prompt = make_prompt_bundle("aurora dune")
-        image = image_from_weights(weights(0, 3))
-        assert vlm_hints(image, prompt) == []
+        coefs = coefs_from_weights(weights(0, 3))
+        assert vlm_hints(coefs, prompt) == []
 
     def test_missing_pattern_hint(self):
         prompt = make_prompt_bundle("dune")
-        image = image_from_weights(weights())  # pattern 3 absent
-        hints = vlm_hints(image, prompt)
+        coefs = coefs_from_weights(weights())  # pattern 3 absent
+        hints = vlm_hints(coefs, prompt)
         assert hints == ["increase dune"]
 
     def test_surplus_pattern_hint(self):
         prompt = make_prompt_bundle("dune")
-        image = image_from_weights(weights(3, 5))
-        assert vlm_hints(image, prompt) == ["reduce fjord"]
+        coefs = coefs_from_weights(weights(3, 5))
+        assert vlm_hints(coefs, prompt) == ["reduce fjord"]
 
     def test_top_k_by_gap(self):
         prompt = make_prompt_bundle(
@@ -94,8 +95,8 @@ class TestVlmHints:
         gaps = [0.9, 0.8, 0.7, 0.6, 0.5, 0.45, 0.4, 0.3, 0.2]
         for j, gap in enumerate(gaps):
             w[j] = 1.0 - gap
-        image = image_from_weights(w)
-        hints = vlm_hints(image, prompt, k_hints=5)
+        coefs = coefs_from_weights(w)
+        hints = vlm_hints(coefs, prompt, k_hints=5)
         assert len(hints) == 5
         assert hints == [
             "increase aurora",
@@ -107,7 +108,7 @@ class TestVlmHints:
 
     def test_k_hints_validation(self):
         with pytest.raises(ValueError):
-            vlm_hints(image_from_weights(weights()), make_prompt_bundle("aurora"), k_hints=0)
+            vlm_hints(coefs_from_weights(weights()), make_prompt_bundle("aurora"), k_hints=0)
 
 
 class TestDecompose:
@@ -272,16 +273,16 @@ class TestScoring:
         ]
 
     def test_exact_match_scores_one(self):
-        image = image_from_weights(weights(0, 1))
-        report = score_clauses(self.make_clauses(0, 1), image)
+        coefs = coefs_from_weights(weights(0, 1))
+        report = score_clauses(self.make_clauses(0, 1), coefs)
         assert all(c.score == pytest.approx(1.0, abs=1e-9) for c in report.clauses)
         assert report.mean_score == pytest.approx(1.0, abs=1e-9)
 
     def test_large_error_drives_score_to_zero(self):
         w = weights()
         w[2] = 1001.0  # MSE = 1e6
-        image = image_from_weights(w)
-        report = score_clauses(self.make_clauses(2), image)
+        coefs = coefs_from_weights(w)
+        report = score_clauses(self.make_clauses(2), coefs)
         assert report.clauses[0].score < 1e-5
 
     def test_mse_triple(self):
@@ -290,14 +291,14 @@ class TestScoring:
         w[0] = 1.0
         w[1] = 0.0
         w[2] = 1.0 - np.sqrt(3.0)
-        image = image_from_weights(w)
-        report = score_clauses(self.make_clauses(0, 1, 2), image)
+        coefs = coefs_from_weights(w)
+        report = score_clauses(self.make_clauses(0, 1, 2), coefs)
         scores = [c.score for c in report.clauses]
         assert scores == pytest.approx([1.0, 0.5, 0.25], abs=1e-9)
         assert report.mean_score == pytest.approx((1 + 0.5 + 0.25) / 3, abs=1e-9)
 
     def test_no_clauses_give_an_empty_report_scoring_one(self):
-        report = score_clauses([], image_from_weights(weights()))
+        report = score_clauses([], coefs_from_weights(weights()))
         assert (report.clauses, report.mean_score) == ((), 1.0)
 
     def test_report_mean_consistency_guard(self):

@@ -15,9 +15,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from critifusion.basis import basis_plane, pattern_coefficient
+from critifusion.basis import basis_plane, pattern_coefficients
 from critifusion.diffusion import (
     Conditioning,
+    MAX_STEPS,
     DegenerateStepError,
     ScheduleError,
     StepRangeError,
@@ -72,6 +73,9 @@ class TestSchedule:
     def test_range_errors(self):
         with pytest.raises(ScheduleError):
             make_schedule(0, 0.1, 0.2)
+        with pytest.raises(ScheduleError):
+            make_schedule(MAX_STEPS + 1, 0.1, 0.2)
+        assert make_schedule(MAX_STEPS, 0.1, 0.2).steps == MAX_STEPS
         with pytest.raises(ScheduleError):
             make_schedule(5, 0.0, 0.2)
         with pytest.raises(ScheduleError):
@@ -450,15 +454,36 @@ class TestTargetField:
     def test_coefficients_readable(self):
         cond = Conditioning(embedding(0, 7), 0.0)
         f = target_field(cond, 1, 32, 32)
+        coefs = pattern_coefficients(f.values)
         for j in range(16):
             want = 1.0 if j in (0, 7) else 0.0
-            assert abs(pattern_coefficient(f.values, j) - want) < 1e-9
+            assert abs(coefs[j] - want) < 1e-9
 
     def test_basis_orthogonality(self):
         planes = [basis_plane(j, 32, 32) for j in range(16)]
         for i in range(16):
             for j in range(i + 1, 16):
                 assert abs(np.sum(planes[i] * planes[j])) < 1e-9
+
+
+def reference_coefficients(values):
+    """<x, p_j> / <p_j, p_j> per channel, then averaged, one plane at a time."""
+    _, h, w = values.shape
+    out = []
+    for j in range(16):
+        plane = basis_plane(j, h, w)
+        per_channel = np.tensordot(values, plane, axes=([1, 2], [0, 1]))
+        out.append(per_channel.mean() / np.sum(plane * plane))
+    return np.array(out)
+
+
+class TestPatternCoefficients:
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (4, 17, 23), (4, 64, 64)])
+    def test_matches_per_pattern_projection(self, shape):
+        values = np.random.default_rng(sum(shape)).standard_normal(shape)
+        got, want = pattern_coefficients(values), reference_coefficients(values)
+        assert got.shape == (16,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # Reference chains: one LatentField per step-function call, all noise drawn

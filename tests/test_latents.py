@@ -25,7 +25,6 @@ from critifusion.latents import (
     TruncatedStreamError,
     VaeScale,
     _gaussian_stream,
-    apply_vae_scale,
     gaussian_chunks,
     latent_bytes,
     latent_digest,
@@ -102,35 +101,9 @@ class TestSampling:
 
 
 class TestVaeScale:
-    def test_sd15_gamma(self):
-        f = make_field([1.0, 1.0, 1.0, 1.0])
-        out = apply_vae_scale(f, VaeScale(0.18215), "encode")
-        assert np.allclose(out.values, 0.18215, atol=0)
-
-    def test_sdxl_gamma(self):
-        f = make_field([1.0, 1.0, 1.0, 1.0])
-        out = apply_vae_scale(f, VaeScale(0.13025), "encode")
-        assert np.allclose(out.values, 0.13025, atol=0)
-
-    def test_bad_direction(self):
-        with pytest.raises(LatentError):
-            apply_vae_scale(make_field([0, 0, 0, 0]), VaeScale(1.0), "sideways")
-
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(LatentError):
             VaeScale(0.0)
-
-    @given(
-        gamma=st.floats(min_value=1e-3, max_value=10.0, exclude_min=True),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_encode_decode_identity(self, gamma, seed):
-        f = sample_gaussian_latent(1, 4, 4, seed)
-        back = apply_vae_scale(
-            apply_vae_scale(f, VaeScale(gamma), "encode"), VaeScale(gamma), "decode"
-        )
-        assert np.abs(back.values - f.values).max() < 1e-6
 
 
 class TestSerialization:

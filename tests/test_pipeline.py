@@ -4,6 +4,7 @@ import itertools
 import json
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -183,6 +184,19 @@ class TestRunCritifusion(RunCommitteeTests):
         cfg = PipelineConfig(prompt=DEGRADED, seed=0, refine_mode="blend")
         rec, _ = run_critifusion(cfg)
         assert rec.status == "ok"
+
+    def test_score_on_the_threshold_in_its_last_ulps_refines(self):
+        # 4.5 of 5 clauses scores 0.9000000000000004: a clause is missing,
+        # and the last-ULP excess over the 0.9 threshold must not skip it.
+        cfg = PipelineConfig(
+            prompt="meadow aurora basalt soft iris and shot",
+            seed=488587777,
+            committee=CommitteeConfig(layer_widths=(3, 3)),
+        )
+        rec, _ = run_critifusion(cfg)
+        assert rec.alignment["base"] == pytest.approx(0.9, abs=1e-12)
+        assert rec.cadr["T_prime"] > 0
+        assert rec.alignment["final"] > rec.alignment["base"]
 
 
 class TestRunCritifusionOverHttp(RunCommitteeTests):
@@ -715,6 +729,45 @@ class TestSerialization:
             p = tmp_path / f"{name}.crtf"
             write_latent(field, p)
             assert latent_digest(read_latent(p)) == rec.digests[name]
+
+
+class TestDecode:
+    def test_scores_read_the_projection_of_the_decoded_base(self):
+        from test_diffusion import reference_coefficients
+
+        config = PipelineConfig(prompt=DEGRADED, seed=3, gamma=2.0)
+        rec, lat = run_critifusion(config)
+        coefs = reference_coefficients(lat["z_base"].values / 2.0)
+        scores = [1.0 / (1.0 + (coefs[int(j)] - 1.0) ** 2) for j in rec.clause_scores]
+        assert abs(rec.alignment["base"] - sum(scores) / len(scores)) <= 1e-12
+
+    def test_decode_allocates_less_than_one_field(self, monkeypatch):
+        # Traced peak from the end of the base digest to the first read of
+        # the coefficients, which spans the whole decode stage.
+        config = PipelineConfig(prompt=DEGRADED, seed=2, height=128, width=128)
+        field = 8 * config.channels * 128 * 128
+        digest, hints = pipeline.latent_digest, pipeline.vlm_hints
+        marks, peaks = [], []
+
+        def marked_digest(z):
+            out = digest(z)
+            tracemalloc.reset_peak()
+            marks.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        def measured_hints(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1] - marks[-1])
+            return hints(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "latent_digest", marked_digest)
+        monkeypatch.setattr(pipeline, "vlm_hints", measured_hints)
+        tracemalloc.start()
+        try:
+            run_critifusion(config)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert 0 < peaks[0] < field
 
 
 class TestRunMemory:
