@@ -57,7 +57,7 @@ class AgentEndpoint:
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be finite and positive, got {self.timeout}")
         if self.max_retries < 0:
-            raise ValueError("retries must be >= 0")
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if not (math.isfinite(self.backoff) and self.backoff >= 0):
             raise ValueError(f"backoff must be finite and >= 0, got {self.backoff}")
 

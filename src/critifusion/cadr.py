@@ -46,15 +46,20 @@ class CadrConfig:
         # affine ranges, endpoint to endpoint + span, must lie in [0, 1].
         for name in ("lam", "rho"):
             low = getattr(self, f"{name}_min")
-            high = low + getattr(self, f"{name}_span")
-            if not (0.0 <= low and high <= 1.0):
+            span = getattr(self, f"{name}_span")
+            if not (0.0 <= low <= 1.0):
+                raise AlignmentInputError(f"{name}_min must be in [0, 1], got {low}")
+            if low + span > 1.0:
                 raise AlignmentInputError(
-                    f"{name} range [{low}, {high}] must lie in [0, 1]"
+                    f"{name}_span must be at most 1 - {name}_min = {1.0 - low}, "
+                    f"got {span}"
                 )
         if self.t_min < 1:
             raise AlignmentInputError(f"t_min must be >= 1, got {self.t_min}")
         if not (0.0 < self.skip_threshold <= 1.0):
-            raise AlignmentInputError("skip threshold must be in (0, 1]")
+            raise AlignmentInputError(
+                f"skip_threshold must be in (0, 1], got {self.skip_threshold}"
+            )
 
     @property
     def t_max(self) -> int:

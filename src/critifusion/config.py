@@ -68,7 +68,8 @@ def _take(cls, kv: dict, prefix: str = "") -> dict:
     for f in fields(cls):
         kind = types[f.name]
         if is_dataclass(kind):
-            kwargs[f.name] = kind(**_take(kind, kv, f"{prefix}{f.name}."))
+            section = f"{prefix}{f.name}."
+            kwargs[f.name] = _build(kind, _take(kind, kv, section), section)
             continue
         key = prefix + f.name
         if key not in kv:
@@ -79,6 +80,19 @@ def _take(cls, kv: dict, prefix: str = "") -> dict:
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return kwargs
+
+
+def _build(cls, kwargs: dict, prefix: str):
+    """``cls(**kwargs)``, a rejection raised as a ConfigError under its key.
+
+    Every config dataclass starts a rejection with the name of the field
+    at fault, so the section prefix turns it into the key the user wrote
+    (``cadr.t_min must be >= 1``).
+    """
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def load_config(
@@ -94,19 +108,14 @@ def load_config(
     if overrides:
         kv.update({k: str(v) for k, v in overrides.items()})
 
-    try:
-        config = PipelineConfig(**_take(PipelineConfig, kv))
-        # Endpoint keys are consumed even for the mock backend so they
-        # never count as unknown.
-        agent = _take(AgentEndpoint, kv, "agent.")
-        if kv:
-            raise ConfigError(f"unknown config keys: {sorted(kv)}")
-        if config.agent_backend != "http":
-            return config, None
-        if "base_url" not in agent:
-            raise ConfigError("agent.base_url is required when agent_backend = http")
-        return config, AgentEndpoint(**agent)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = _build(PipelineConfig, _take(PipelineConfig, kv), "")
+    # Endpoint keys are consumed even for the mock backend so they never
+    # count as unknown.
+    agent = _take(AgentEndpoint, kv, "agent.")
+    if kv:
+        raise ConfigError(f"unknown config keys: {sorted(kv)}")
+    if config.agent_backend != "http":
+        return config, None
+    if "base_url" not in agent:
+        raise ConfigError("agent.base_url is required when agent_backend = http")
+    return config, _build(AgentEndpoint, agent, "agent.")

@@ -106,13 +106,18 @@ class CommitteeConfig:
         if self.mode not in ("mad", "moa"):
             raise CommitteeConfigError(f"mode must be 'mad' or 'moa', got {self.mode!r}")
         if self.mode == "mad":
-            if self.agents < 1 or self.rounds < 1:
-                raise CommitteeConfigError("MAD needs agents >= 1 and rounds >= 1")
-        else:
-            if not self.layer_widths or any(n < 1 for n in self.layer_widths):
-                raise CommitteeConfigError("MoA needs at least one layer, widths >= 1")
-        if self.k_edit < 0 or self.k_hints < 1:
-            raise CommitteeConfigError("k_edit must be >= 0 and k_hints >= 1")
+            for name in ("agents", "rounds"):
+                if getattr(self, name) < 1:
+                    raise CommitteeConfigError(f"{name} must be >= 1 for MAD")
+        elif not self.layer_widths or any(n < 1 for n in self.layer_widths):
+            raise CommitteeConfigError(
+                f"layer_widths must name at least one layer, each >= 1, "
+                f"got {self.layer_widths}"
+            )
+        if self.k_edit < 0:
+            raise CommitteeConfigError(f"k_edit must be >= 0, got {self.k_edit}")
+        if self.k_hints < 1:
+            raise CommitteeConfigError(f"k_hints must be >= 1, got {self.k_hints}")
 
 
 def vlm_hints(coefs: np.ndarray, prompt: PromptBundle, k_hints: int = 5) -> list[str]:

@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import N_BASIS, synthesize_target
-from .latents import (
-    LatentField,
-    _gaussian_stream,
-    gaussian_chunks,
-    sample_gaussian_latent,
-)
+from .latents import LatentField, _fill_gaussians, _philox, sample_gaussian_latent
+from .latents import _gaussian_stream  # noqa: F401  perfbench's probes patch it
 
 
 SAMPLERS = ("ddim", "ddpm")
@@ -28,6 +24,9 @@ REFINE_MODES = ("img2img", "blend")
 # The corrective pass draws its noise from the (seed + offset, 0) stream.
 CORRECTIVE_SEED_OFFSET = 999
 MAX_STEPS = 1000  # the longest schedule, for sampling and for the corrective T'
+# The chains walk the flat latent in tiles of this many values, so that their
+# step buffers and noise draws stay in cache and cost no full field each.
+TILE = 1 << 14
 
 
 class ScheduleError(ValueError):
@@ -94,10 +93,15 @@ class StrengthMap:
     t0: int
 
 
-def make_schedule(T: int, beta_start: float, beta_end: float) -> VarianceSchedule:
-    """Linearly spaced betas; alpha_bar accumulated in 64-bit."""
+def make_schedule(
+    T: int, beta_start: float, beta_end: float, name: str = "T"
+) -> VarianceSchedule:
+    """Linearly spaced betas; alpha_bar accumulated in 64-bit.
+
+    ``name`` is what a rejected step count is called in the error.
+    """
     if not (1 <= T <= MAX_STEPS):
-        raise ScheduleError(f"T must be in [1, {MAX_STEPS}], got {T}")
+        raise ScheduleError(f"{name} must be in [1, {MAX_STEPS}], got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ScheduleError(
             f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"
@@ -233,6 +237,11 @@ def ddpm_step(
 # result is wrapped (and checked finite) as a LatentField: every update
 # divides by a positive scalar, never by an array, so a non-finite
 # intermediate stays non-finite until the end.
+#
+# Every update is elementwise, so the chains run tile by tile over the flat
+# latent.  A chain that draws noise runs step outer, tile inner: each step
+# reads its tiles' noise in stream order, which is the order of one
+# whole-field draw.  The deterministic DDIM chain runs tile outer.
 
 
 def _abar_pair(sched: VarianceSchedule, t: int) -> tuple[float, float]:
@@ -241,6 +250,24 @@ def _abar_pair(sched: VarianceSchedule, t: int) -> tuple[float, float]:
     if abar >= 1.0:
         raise DegenerateStepError("alpha_bar == 1: nothing to predict")
     return abar, sched.abar(t - 1)
+
+
+def _tiles(size: int) -> list[slice]:
+    """Slices of [0, size), TILE values each but the last."""
+    return [slice(lo, min(lo + TILE, size)) for lo in range(0, size, TILE)]
+
+
+def _scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two float64 tile buffers, reused by every tile of a chain."""
+    n = min(TILE, size)
+    return np.empty(n), np.empty(n)
+
+
+def _noise_into(out, gen, scale: float):
+    """out <- scale * the next out.size draws of gen, each first rounded to
+    float32 like every drawn latent."""
+    _fill_gaussians(gen, out)
+    return np.multiply(out.astype(np.float32), scale, out=out, dtype=np.float64)
 
 
 def _eps_into(eps, z, target, abar: float) -> None:
@@ -262,25 +289,73 @@ def _ddim_into(out, z, eps, abar: float, abar_prev: float) -> None:
     np.add(out, eps, out=out)
 
 
-def _ddim_chain(z, target, sched: VarianceSchedule, t_start: int):
-    """Guided DDIM updates t_start .. 1 on the float64 array z (clobbered)."""
-    eps, out = np.empty_like(z), np.empty_like(z)
-    for t in range(t_start, 0, -1):
+def _ddim_chain(z, target, sched: VarianceSchedule, t_start: int) -> None:
+    """Guided DDIM updates t_start .. 1 on the float64 array z, in place."""
+    pairs = [_abar_pair(sched, t) for t in range(t_start, 0, -1)]
+    flat, target = z.reshape(-1), target.reshape(-1)
+    eps, spare = _scratch(flat.size)
+    for tile in _tiles(flat.size):
+        n = tile.stop - tile.start
+        cur = view = flat[tile]
+        nxt, e, goal = spare[:n], eps[:n], target[tile]
+        for abar, abar_prev in pairs:
+            _eps_into(e, cur, goal, abar)
+            _ddim_into(nxt, cur, e, abar, abar_prev)
+            cur, nxt = nxt, cur
+        if cur is not view:
+            view[...] = cur
+
+
+def _ddpm_chain(z, target, sched: VarianceSchedule, gen) -> None:
+    """Guided DDPM updates T .. 1 on the float64 array z, in place; step t
+    adds the next field of ``gen``'s stream."""
+    flat, target = z.reshape(-1), target.reshape(-1)
+    eps, noise = _scratch(flat.size)
+    tiles = _tiles(flat.size)
+    for t in range(sched.steps, 0, -1):
         abar, abar_prev = _abar_pair(sched, t)
-        _eps_into(eps, z, target, abar)
-        _ddim_into(out, z, eps, abar, abar_prev)
-        z, out = out, z
+        beta = float(sched.beta[t - 1])
+        keep = np.sqrt(1.0 - beta)
+        sigma = np.sqrt(beta * (1.0 - abar_prev) / (1.0 - abar))
+        for tile in tiles:
+            n = tile.stop - tile.start
+            zt, e = flat[tile], eps[:n]
+            _eps_into(e, zt, target[tile], abar)
+            np.multiply(e, beta, out=e)
+            np.subtract(zt, e, out=zt)
+            np.divide(zt, keep, out=zt)
+            np.add(zt, _noise_into(noise[:n], gen, sigma), out=zt)
+
+
+def _blend_chain(z, target, sched: VarianceSchedule, gen, alpha: float) -> None:
+    """Blend updates (1 - alpha) * z + alpha * ddim(z) + sqrt(beta_t) * noise,
+    T .. 1, on the float64 array z, in place; step t's noise is the next
+    field of ``gen``'s stream."""
+    flat, target = z.reshape(-1), target.reshape(-1)
+    eps, out = _scratch(flat.size)
+    tiles = _tiles(flat.size)
+    for t in range(sched.steps, 0, -1):
+        abar, abar_prev = _abar_pair(sched, t)
+        sd = np.sqrt(float(sched.beta[t - 1]))
+        for tile in tiles:
+            n = tile.stop - tile.start
+            zt, e, o = flat[tile], eps[:n], out[:n]
+            _eps_into(e, zt, target[tile], abar)
+            _ddim_into(o, zt, e, abar, abar_prev)
+            np.multiply(zt, 1.0 - alpha, out=zt)
+            np.multiply(o, alpha, out=o)
+            np.add(zt, o, out=zt)
+            np.add(zt, _noise_into(o, gen, sd), out=zt)
+
+
+def _renoise(values, abar: float, gen):
+    """sqrt(abar) * values + sqrt(1 - abar) * the first field of gen's stream."""
+    z = np.sqrt(abar) * values
+    flat = z.reshape(-1)
+    noise, sd = np.empty(min(TILE, flat.size)), np.sqrt(1.0 - abar)
+    for tile in _tiles(flat.size):
+        flat[tile] += _noise_into(noise[: tile.stop - tile.start], gen, sd)
     return z
-
-
-def _noise_steps(seed: int, stream: int, shape):
-    """Per-step noise fields, rounded to float32 like every drawn latent.
-
-    Field i is draws [i*n, (i+1)*n) of the (seed, stream) Gaussian stream;
-    each is drawn when its step asks for it.
-    """
-    for draws in gaussian_chunks(seed, int(np.prod(shape)), stream):
-        yield draws.astype(np.float32).reshape(shape)
 
 
 def base_sample(
@@ -292,26 +367,19 @@ def base_sample(
     height: int,
     width: int,
 ) -> LatentField:
-    """Full reverse chain from seeded noise; cond.guidance_scale cancels."""
+    """Full reverse chain from seeded noise; cond.guidance_scale cancels.
+
+    DDPM adds step t's noise from the next field of the (seed, 1) stream.
+    """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     z = sample_gaussian_latent(channels, height, width, seed).values.copy()
     target = synthesize_target(cond.embedding, *z.shape)
     if sampler == "ddim":
-        z = _ddim_chain(z, target, sched, sched.steps)
+        _ddim_chain(z, target, sched, sched.steps)
     else:
-        eps = np.empty_like(z)
-        noises = _noise_steps(seed, 1, z.shape)
-        for t, noise in zip(range(sched.steps, 0, -1), noises):
-            abar, abar_prev = _abar_pair(sched, t)
-            _eps_into(eps, z, target, abar)
-            beta = float(sched.beta[t - 1])
-            sigma2 = beta * (1.0 - abar_prev) / (1.0 - abar)
-            np.multiply(eps, beta, out=eps)
-            np.subtract(z, eps, out=z)
-            np.divide(z, np.sqrt(1.0 - beta), out=z)
-            np.multiply(noise, np.sqrt(sigma2), out=eps, dtype=np.float64)
-            np.add(z, eps, out=z)
+        _ddpm_chain(z, target, sched, _philox(seed, 1))
+    del target  # freed before the result is copied
     return LatentField(channels, height, width, z)
 
 
@@ -358,34 +426,19 @@ def img2img_refine(
     if mode not in REFINE_MODES:
         raise ValueError(f"mode must be one of {REFINE_MODES}, got {mode!r}")
     sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
-    target = synthesize_target(cond.embedding, *z_base.shape)
-    corr_seed = seed + CORRECTIVE_SEED_OFFSET
-
+    gen = _philox(seed + CORRECTIVE_SEED_OFFSET, 0)
     if mode == "blend":
-        alpha = float(params.lam)
         z = z_base.values.copy()
-        eps, out = np.empty_like(z), np.empty_like(z)
-        noises = _noise_steps(corr_seed, 0, z.shape)
-        for t, noise in zip(range(T_prime, 0, -1), noises):
-            abar, abar_prev = _abar_pair(sub, t)
-            _eps_into(eps, z, target, abar)
-            _ddim_into(out, z, eps, abar, abar_prev)
-            np.multiply(z, 1.0 - alpha, out=z)
-            np.multiply(out, alpha, out=out)
-            np.add(z, out, out=z)
-            sd = np.sqrt(float(sub.beta[t - 1]))
-            np.multiply(noise, sd, out=out, dtype=np.float64)
-            np.add(z, out, out=z)
-        return z_base.with_values(z)
-
-    if forced_k is None:
-        k = int(np.floor(float(params.lam) * T_prime + 0.5))
+        target = synthesize_target(cond.embedding, *z.shape)
+        _blend_chain(z, target, sub, gen, float(params.lam))
     else:
-        k = forced_k
-    sm = strength_to_start(k, T_prime)
-    t_start = T_prime - sm.t0
-    abar = float(sub.alpha_bar[t_start - 1])
-    renoise = _gaussian_stream(corr_seed, z_base.values.size).astype(np.float32)
-    z = np.sqrt(abar) * z_base.values
-    z += np.sqrt(1.0 - abar) * renoise.astype(np.float64).reshape(z_base.shape)
-    return z_base.with_values(_ddim_chain(z, target, sub, t_start))
+        if forced_k is None:
+            k = int(np.floor(float(params.lam) * T_prime + 0.5))
+        else:
+            k = forced_k
+        t_start = T_prime - strength_to_start(k, T_prime).t0
+        z = _renoise(z_base.values, float(sub.alpha_bar[t_start - 1]), gen)
+        target = synthesize_target(cond.embedding, *z.shape)
+        _ddim_chain(z, target, sub, t_start)
+    del target  # freed before the result is copied
+    return z_base.with_values(z)

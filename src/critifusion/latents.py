@@ -5,6 +5,12 @@ counter-based generator keyed by the caller's 64-bit seed; Gaussian draws
 go through the inverse normal CDF applied to 53-bit uniforms so that the
 stream can be reproduced bit-exactly in any language with the same
 primitives.
+
+A stream is a sequence, not a set of blocks: Philox keeps the unread words
+of its 4-word block between calls, so successive ``_fill_gaussians`` calls
+of any sizes concatenate to one ``_gaussian_stream`` draw.  Callers may
+draw a field tile by tile, with any tile size, and get the same bits as one
+draw of the whole field.
 """
 
 from __future__ import annotations
@@ -106,37 +112,27 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
 
 
-def _next_gaussians(gen: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` words of ``gen`` as standard-normal draws.
+def _fill_gaussians(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Write the next ``out.size`` words of ``gen`` into ``out`` as N(0, 1) draws.
 
     Each 64-bit word is reduced to a 53-bit integer k and mapped to the
     open-interval uniform u = (k + 0.5) * 2**-53, then through the inverse
-    normal CDF.
+    normal CDF, in place in the float64 array ``out``.
     """
-    words = gen.integers(0, 2**64, size=count, dtype=np.uint64)
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    words = gen.integers(0, 2**64, size=out.shape, dtype=np.uint64)
+    words >>= np.uint64(11)
+    np.add(words, 0.5, out=out)
+    out *= 2.0**-53
+    ndtri(out, out=out)
+    return out
 
 
 def _gaussian_stream(seed: int, count: int, stream: int = 0) -> np.ndarray:
-    """Deterministic standard-normal draws.
+    """The first ``count`` standard-normal draws of the (seed, stream) stream.
 
-    Philox4x64 keyed by (seed, stream), words mapped as in _next_gaussians.
+    Philox4x64 keyed by (seed, stream), words mapped as in _fill_gaussians.
     """
-    return _next_gaussians(_philox(seed, stream), count)
-
-
-def gaussian_chunks(seed: int, size: int, stream: int = 0):
-    """Endless successive ``size``-draw chunks of the (seed, stream) stream.
-
-    The first T chunks, concatenated, equal
-    ``_gaussian_stream(seed, T * size, stream)`` bit for bit: Philox keeps
-    the unread words of its 4-word block between calls.  Only the current
-    chunk is held, so T steps of noise cost one field of memory, not T.
-    """
-    gen = _philox(seed, stream)
-    while True:
-        yield _next_gaussians(gen, size)
+    return _fill_gaussians(_philox(seed, stream), np.empty(count))
 
 
 def sample_gaussian_latent(

@@ -109,8 +109,11 @@ class PipelineConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         _check_dims(self.channels, self.height, self.width)
         _check_toy_dims(self.height, self.width)
-        for steps in (self.steps, self.cadr.t_max):  # sampling, longest correction
-            make_schedule(steps, self.beta_start, self.beta_end)
+        for name, steps in (
+            ("steps", self.steps),  # sampling
+            ("cadr.t_min + cadr.t_span", self.cadr.t_max),  # the longest correction
+        ):
+            make_schedule(steps, self.beta_start, self.beta_end, name)
         VaeScale(self.gamma)
         TaperSpec(self.taper)
 

@@ -3,6 +3,8 @@
 Only the public ``Spectrum`` API is DC-centered, with the zero frequency at
 (H//2, W//2).  Fusion runs in the FFT's own order, shifting only the mask: it
 keeps the low band of the base latent and the high band of the refined one.
+Each channel is transformed on its own, so fusion runs over blocks of whole
+channels and holds the complex spectra of one block at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .latents import LatentField
+
+# Values per fusion block: whole channels, at least one, up to this many.
+FUSE_BLOCK = 1 << 14
 
 
 class SpectralError(ValueError):
@@ -85,26 +90,28 @@ def forward_spectrum(field: LatentField) -> Spectrum:
     return Spectrum(*field.shape, np.fft.fftshift(coeffs, axes=(-2, -1)))
 
 
-def _real_inverse(coefficients: np.ndarray) -> np.ndarray:
-    """Real part of the per-channel inverse DFT of FFT-ordered coefficients.
+def _imag_residue(complex_field: np.ndarray) -> float:
+    """Largest |imaginary part|, without an array of absolute values."""
+    imag = complex_field.imag
+    return max(float(imag.max()), -float(imag.min()))
 
-    Raises SymmetryViolationError when the imaginary residue exceeds
-    1e-6 * ||coefficients||_2, the sign of a non-Hermitian spectrum.
-    """
-    complex_field = np.fft.ifft2(coefficients, axes=(-2, -1))
-    tol = 1e-6 * max(float(np.linalg.norm(coefficients)), 1e-30)
-    residue = float(np.abs(complex_field.imag).max())
+
+def _check_residue(residue: float, norm: float) -> None:
+    """Reject an inverse DFT whose imaginary residue exceeds 1e-6 * the L2
+    norm of its coefficients, the sign of a non-Hermitian spectrum."""
+    tol = 1e-6 * max(norm, 1e-30)
     if residue > tol:
         raise SymmetryViolationError(
             f"imaginary residue {residue:.3e} exceeds tolerance {tol:.3e}"
         )
-    return complex_field.real
 
 
 def inverse_spectrum(spec: Spectrum) -> LatentField:
-    """Invert a centered spectrum back to a real field (see _real_inverse)."""
+    """Invert a centered spectrum back to a real field (see _check_residue)."""
     coeffs = np.fft.ifftshift(spec.coefficients, axes=(-2, -1))
-    return LatentField(spec.channels, spec.height, spec.width, _real_inverse(coeffs))
+    complex_field = np.fft.ifft2(coeffs, axes=(-2, -1))
+    _check_residue(_imag_residue(complex_field), float(np.linalg.norm(coeffs)))
+    return LatentField(spec.channels, spec.height, spec.width, complex_field.real)
 
 
 def _axis_profile(size: int, half_width: int, taper_fraction: float) -> np.ndarray:
@@ -146,6 +153,24 @@ def build_lowpass_mask(
     return MaskPlane(height, width, np.outer(pu, pv))
 
 
+# numpy transforms a real input through a complex copy of the whole input,
+# and its in-place ifft2 rounds differently.  These two forms hold only
+# their result (and, for the inverse, its input) and give fft2's and
+# ifft2's bits.
+
+
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """Per-channel fft2 of real values, in place in one complex copy."""
+    coefficients = values.astype(np.complex128)
+    return np.fft.fft2(coefficients, axes=(-2, -1), out=coefficients)
+
+
+def _inverse(coefficients: np.ndarray) -> np.ndarray:
+    """Per-channel ifft2: the last axis into a new array, then the other in place."""
+    field = np.fft.ifft(coefficients, axis=-1)
+    return np.fft.ifft(field, axis=-2, out=field)
+
+
 def spec_fuse(
     z_ref: LatentField,
     z_base: LatentField,
@@ -157,20 +182,38 @@ def spec_fuse(
 
     The same mask plane is applied to every channel.  With clamp on, each
     output value is clipped to the per-channel [min, max] of z_base.
+    Channels are fused in blocks of at most FUSE_BLOCK values (one channel
+    at least), so only one block's spectra are held at a time; the largest
+    imaginary residue over all blocks is judged against the norm of the
+    whole fused spectrum (see _check_residue).
     """
     if z_ref.shape != z_base.shape:
         raise SpectralError(
             f"shape mismatch: z_ref {z_ref.shape} vs z_base {z_base.shape}"
         )
-    mask = build_lowpass_mask(z_base.height, z_base.width, rho, taper).weights
-    mask = np.fft.ifftshift(mask)
-    fused = np.fft.fft2(z_base.values, axes=(-2, -1))
-    fused *= mask
-    high = np.fft.fft2(z_ref.values, axes=(-2, -1))
-    high *= 1.0 - mask
-    fused += high
-    del high  # frees two fields before the inverse allocates two more
-    out = _real_inverse(fused)
+    low = np.fft.ifftshift(
+        build_lowpass_mask(z_base.height, z_base.width, rho, taper).weights
+    )
+    high = 1.0 - low
+    out = None  # allocated once the first block's spectra are freed
+    residue = sqnorm = 0.0
+    step = max(1, FUSE_BLOCK // (z_base.height * z_base.width))
+    for first in range(0, z_base.channels, step):
+        block = slice(first, first + step)
+        fused = _spectrum(z_base.values[block])
+        fused *= low
+        ref = _spectrum(z_ref.values[block])
+        ref *= high
+        fused += ref
+        del ref  # frees its spectrum before the inverse allocates another
+        sqnorm += np.vdot(fused, fused).real
+        fused = _inverse(fused)
+        residue = max(residue, _imag_residue(fused))
+        if out is None:
+            out = np.empty(z_base.shape)
+        out[block] = fused.real
+        del fused  # before the next block's spectra
+    _check_residue(residue, float(np.sqrt(sqnorm)))
     if clamp:
         flat = z_base.values.reshape(z_base.channels, -1)
         lo = flat.min(axis=1)[:, None, None]

@@ -143,7 +143,7 @@ class TestErrors:
         assert main(["transmogrify"]) == 2
 
     @pytest.mark.parametrize("row", INVALID, ids=row_id)
-    def test_invalid_value_exit_2_no_record(self, tmp_path, row):
+    def test_invalid_value_exit_2_no_record(self, tmp_path, capsys, row):
         bad = tmp_path / "bad.cfg"
         bad.write_text(
             "prompt = aurora\n" + "".join(f"{k} = {v}\n" for k, v in row.items())
@@ -152,6 +152,8 @@ class TestErrors:
         code = main(["generate", "--config", str(bad), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not (out / "record.jsonl").exists()
+        err = capsys.readouterr().err
+        assert any(key in err for key in row), err  # the message names its key
 
     @pytest.mark.parametrize("key", ["agent.timeout", "agent.backoff"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

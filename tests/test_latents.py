@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from critifusion.latents import (
     MAGIC,
@@ -24,8 +25,9 @@ from critifusion.latents import (
     LatentField,
     TruncatedStreamError,
     VaeScale,
+    _fill_gaussians,
     _gaussian_stream,
-    gaussian_chunks,
+    _philox,
     latent_bytes,
     latent_digest,
     read_latent,
@@ -89,15 +91,27 @@ class TestSampling:
         assert not np.array_equal(a.values, b.values)
 
     # Philox4x64 emits 4 words per counter: sizes that are not multiples of
-    # 4 make later chunks start mid-block, so its buffer must carry over.
+    # 4 make later fills start mid-block, so its buffer must carry over.
     @pytest.mark.parametrize("stream", [0, 1])
     @pytest.mark.parametrize("size", [1, 3, 5, 6, 918])
     def test_chunks_concatenate_to_the_stream(self, stream, size):
         steps = 9
-        chunks = gaussian_chunks(42, size, stream)
-        got = np.concatenate([next(chunks) for _ in range(steps)])
+        gen = _philox(42, stream)
+        got = np.concatenate([_fill_gaussians(gen, np.empty(size)) for _ in range(steps)])
         want = _gaussian_stream(42, steps * size, stream)
         assert got.tobytes() == want.tobytes()
+
+    def test_fills_of_mixed_sizes_and_shapes_concatenate_to_the_stream(self):
+        gen = _philox(7, 0)
+        shapes = [(5,), (2, 3), (918,), (1,), (3, 17, 23)]
+        got = np.concatenate([_fill_gaussians(gen, np.empty(s)).ravel() for s in shapes])
+        assert got.tobytes() == _gaussian_stream(7, got.size).tobytes()
+
+    def test_stream_is_the_inverse_cdf_of_53_bit_uniforms(self):
+        # The mapping written out with fresh arrays at every step.
+        words = _philox(3, 1).integers(0, 2**64, size=1001, dtype=np.uint64)
+        uniforms = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert _gaussian_stream(3, 1001, 1).tobytes() == ndtri(uniforms).tobytes()
 
 
 class TestVaeScale:
