@@ -12,10 +12,12 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-
-import requests
+from typing import TYPE_CHECKING
 
 from . import vocab
+
+if TYPE_CHECKING:
+    import requests
 
 AUTH_ENV_VAR = "CRITIFUSION_API_KEY"
 EMPTY_RESPONSE = "(none)"
@@ -143,7 +145,7 @@ class MockAgentBackend:
 
 
 def http_complete(
-    endpoint: AgentEndpoint, request: AgentRequest, session=requests
+    endpoint: AgentEndpoint, request: AgentRequest, session=None
 ) -> AgentResponse:
     """One chat completion with bounded retries.
 
@@ -152,8 +154,13 @@ def http_complete(
     max_retries + 1.  Other HTTP statuses fail immediately, and so does a
     body off the chat-completion schema (AgentProtocolError); a missing or
     null ``usage`` counts 0 tokens.  A ``requests.Session`` as ``session``
-    keeps connections open across calls; the default opens one per attempt.
+    keeps connections open across calls; ``None`` opens one per attempt.
+    ``requests`` is imported here, so a mock run never loads it.
     """
+    import requests
+
+    if session is None:
+        session = requests
     payload = {
         "model": endpoint.model_id,
         "messages": [{"role": r, "content": c} for r, c in request.messages],
@@ -209,6 +216,12 @@ def http_complete(
     raise last_error if last_error is not None else AgentTransportError("no attempts")
 
 
+def _new_session() -> requests.Session:
+    import requests
+
+    return requests.Session()
+
+
 @dataclass
 class HttpAgentBackend:
     """Routes committee calls to a chat-completion endpoint.
@@ -218,7 +231,7 @@ class HttpAgentBackend:
 
     endpoint: AgentEndpoint
     session: requests.Session = field(
-        default_factory=requests.Session, repr=False, compare=False
+        default_factory=_new_session, repr=False, compare=False
     )
 
     def respond(self, agent_id: int, request: AgentRequest) -> AgentResponse:

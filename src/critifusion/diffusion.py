@@ -15,13 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import N_BASIS, synthesize_target
-from .latents import LatentField, _fill_gaussians, _philox, sample_gaussian_latent
+from .latents import (
+    LatentField,
+    _check_dims,
+    _fill_gaussians,
+    _philox,
+    sample_gaussian_latent,
+)
 from .latents import _gaussian_stream  # noqa: F401  perfbench's probes patch it
 
 
 SAMPLERS = ("ddim", "ddpm")
 REFINE_MODES = ("img2img", "blend")
-# The corrective pass draws its noise from the (seed + offset, 0) stream.
+# The blend corrective pass draws its noise from the (seed + offset, 0) stream.
 CORRECTIVE_SEED_OFFSET = 999
 MAX_STEPS = 1000  # the longest schedule, for sampling and for the corrective T'
 # The chains walk the flat latent in tiles of this many values, so that their
@@ -134,6 +140,7 @@ def target_field(
     cond: Conditioning, channels: int, height: int, width: int
 ) -> LatentField:
     """The fixed point the toy chain converges to under ``cond``."""
+    _check_dims(channels, height, width)  # before the field is allocated
     values = synthesize_target(cond.embedding, channels, height, width)
     return LatentField(channels, height, width, values)
 
@@ -230,18 +237,18 @@ def ddpm_step(
     return z_t.with_values(out)
 
 
-# The chains below run the step functions' arithmetic on plain float64
-# arrays, in the same floating-point order, so their bits equal a chain of
-# toy_denoiser (at guidance scale 0) -> ddim_step / ddpm_step calls: CFG
-# cancels in the toy, so neither w nor CADR's g reaches their bits.  Only the
-# result is wrapped (and checked finite) as a LatentField: every update
-# divides by a positive scalar, never by an array, so a non-finite
-# intermediate stays non-finite until the end.
+# The DDPM and blend chains below run the step functions' arithmetic on
+# plain float64 arrays, in the same floating-point order, so their bits
+# equal a chain of toy_denoiser (at guidance scale 0) -> ddim_step /
+# ddpm_step calls: CFG cancels in the toy, so neither w nor CADR's g
+# reaches their bits.  Only the result is wrapped (and checked finite) as a
+# LatentField: every update divides by a positive scalar, never by an
+# array, so a non-finite intermediate stays non-finite until the end.
 #
 # Every update is elementwise, so the chains run tile by tile over the flat
-# latent.  A chain that draws noise runs step outer, tile inner: each step
-# reads its tiles' noise in stream order, which is the order of one
-# whole-field draw.  The deterministic DDIM chain runs tile outer.
+# latent.  Each runs step outer, tile inner: each step reads its tiles'
+# noise in stream order, which is the order of one whole-field draw.  A
+# pure DDIM chain needs no code: it ends on the target (base_sample).
 
 
 def _abar_pair(sched: VarianceSchedule, t: int) -> tuple[float, float]:
@@ -289,23 +296,6 @@ def _ddim_into(out, z, eps, abar: float, abar_prev: float) -> None:
     np.add(out, eps, out=out)
 
 
-def _ddim_chain(z, target, sched: VarianceSchedule, t_start: int) -> None:
-    """Guided DDIM updates t_start .. 1 on the float64 array z, in place."""
-    pairs = [_abar_pair(sched, t) for t in range(t_start, 0, -1)]
-    flat, target = z.reshape(-1), target.reshape(-1)
-    eps, spare = _scratch(flat.size)
-    for tile in _tiles(flat.size):
-        n = tile.stop - tile.start
-        cur = view = flat[tile]
-        nxt, e, goal = spare[:n], eps[:n], target[tile]
-        for abar, abar_prev in pairs:
-            _eps_into(e, cur, goal, abar)
-            _ddim_into(nxt, cur, e, abar, abar_prev)
-            cur, nxt = nxt, cur
-        if cur is not view:
-            view[...] = cur
-
-
 def _ddpm_chain(z, target, sched: VarianceSchedule, gen) -> None:
     """Guided DDPM updates T .. 1 on the float64 array z, in place; step t
     adds the next field of ``gen``'s stream."""
@@ -348,16 +338,6 @@ def _blend_chain(z, target, sched: VarianceSchedule, gen, alpha: float) -> None:
             np.add(zt, _noise_into(o, gen, sd), out=zt)
 
 
-def _renoise(values, abar: float, gen):
-    """sqrt(abar) * values + sqrt(1 - abar) * the first field of gen's stream."""
-    z = np.sqrt(abar) * values
-    flat = z.reshape(-1)
-    noise, sd = np.empty(min(TILE, flat.size)), np.sqrt(1.0 - abar)
-    for tile in _tiles(flat.size):
-        flat[tile] += _noise_into(noise[: tile.stop - tile.start], gen, sd)
-    return z
-
-
 def base_sample(
     cond: Conditioning,
     sched: VarianceSchedule,
@@ -369,22 +349,29 @@ def base_sample(
 ) -> LatentField:
     """Full reverse chain from seeded noise; cond.guidance_scale cancels.
 
-    DDPM adds step t's noise from the next field of the (seed, 1) stream.
+    DDIM returns the target in closed form and reads neither ``sched`` nor
+    ``seed``: the toy's x0 estimate is the target at every step, and the
+    last DDIM step returns that estimate.  DDPM runs its chain from the
+    seed's latent and adds step t's noise from the next field of the
+    (seed, 1) stream.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
+    if sampler == "ddim":
+        return target_field(cond, channels, height, width)
     z = sample_gaussian_latent(channels, height, width, seed).values.copy()
     target = synthesize_target(cond.embedding, *z.shape)
-    if sampler == "ddim":
-        _ddim_chain(z, target, sched, sched.steps)
-    else:
-        _ddpm_chain(z, target, sched, _philox(seed, 1))
+    _ddpm_chain(z, target, sched, _philox(seed, 1))
     del target  # freed before the result is copied
     return LatentField(channels, height, width, z)
 
 
 def strength_to_start(k: int, T_prime: int) -> StrengthMap:
-    """clip(k/T', 0.01, 0.95) and the derived denoising start index."""
+    """clip(k/T', 0.01, 0.95) and the derived denoising start index.
+
+    The paper's img2img strength map.  The toy's img2img pass lands on the
+    target from every start, so it is the oracles' map, not the pass's.
+    """
     if T_prime < 1:
         raise StepRangeError(f"T' must be >= 1, got {T_prime}")
     if not (0 <= k <= T_prime):
@@ -403,42 +390,34 @@ def img2img_refine(
     sched: VarianceSchedule,
     seed: int,
     mode: str = "img2img",
-    forced_k: int | None = None,
 ) -> LatentField:
-    """Corrective pass: re-noise z_base part-way, then denoise under cond.
+    """Corrective pass under cond over a T'-step schedule built from the
+    base schedule's beta endpoints.  T' == 0 returns z_base unchanged.
 
-    Builds a T'-step schedule from the base schedule's beta endpoints,
-    maps lambda to k = round(lambda * T') (or uses ``forced_k``), derives
-    (strength, t0) through strength_to_start, forward-noises z_base with
-    the first noise field of the Philox stream (seed +
-    CORRECTIVE_SEED_OFFSET, 0), and runs the remaining reverse steps as
-    deterministic DDIM (eta = 0) updates, whatever sampler drew z_base,
-    under the guided prediction in closed form, in which g cancels.
-    T' == 0 returns z_base unchanged.
-    In ``blend`` mode the update is the per-step convex combination
-    (1 - a) * z + a * step(z) + sqrt(beta_t) * eps with a = lambda, run
-    over all T' steps from z_base; the i-th step's eps is the i-th field of
-    the same stream, drawn when that step runs.
+    In ``img2img`` mode the paper re-noises z_base to strength
+    strength_to_start(round(lambda * T'), T') and denoises the rest of the
+    way with deterministic DDIM (eta = 0) steps.  Every such chain ends on
+    its last x0 estimate, which in the toy is cond's target, so the pass
+    returns that target: it reads neither lambda, g, the seed nor z_base's
+    values.  In ``blend`` mode the update is the per-step convex
+    combination (1 - a) * z + a * ddim_step(z) + sqrt(beta_t) * eps with
+    a = lambda, run over all T' steps from z_base under the guided
+    prediction in closed form, in which g cancels; the i-th step's eps is
+    the i-th field of the Philox stream (seed + CORRECTIVE_SEED_OFFSET, 0),
+    drawn when that step runs.
     """
     T_prime = int(params.T_prime)
     if T_prime == 0:
         return z_base
     if mode not in REFINE_MODES:
         raise ValueError(f"mode must be one of {REFINE_MODES}, got {mode!r}")
-    sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
+    # Built in either mode, so an out-of-range T' is rejected in both.
+    sub = make_schedule(T_prime, sched.beta_start, sched.beta_end, "T'")
+    if mode == "img2img":
+        return target_field(cond, *z_base.shape)
+    z = z_base.values.copy()
+    target = synthesize_target(cond.embedding, *z.shape)
     gen = _philox(seed + CORRECTIVE_SEED_OFFSET, 0)
-    if mode == "blend":
-        z = z_base.values.copy()
-        target = synthesize_target(cond.embedding, *z.shape)
-        _blend_chain(z, target, sub, gen, float(params.lam))
-    else:
-        if forced_k is None:
-            k = int(np.floor(float(params.lam) * T_prime + 0.5))
-        else:
-            k = forced_k
-        t_start = T_prime - strength_to_start(k, T_prime).t0
-        z = _renoise(z_base.values, float(sub.alpha_bar[t_start - 1]), gen)
-        target = synthesize_target(cond.embedding, *z.shape)
-        _ddim_chain(z, target, sub, t_start)
+    _blend_chain(z, target, sub, gen, float(params.lam))
     del target  # freed before the result is copied
     return z_base.with_values(z)

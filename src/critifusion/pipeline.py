@@ -223,6 +223,11 @@ class _AgentCalls:
         return resp
 
 
+def _check_k(k: int, config: PipelineConfig) -> None:
+    if not (0 <= k <= config.cadr.t_max):
+        raise SweepConfigError(f"k={k} outside [0, {config.cadr.t_max}]")
+
+
 def run_critifusion(
     config: PipelineConfig,
     backend=None,
@@ -239,14 +244,18 @@ def run_critifusion(
     (channels, height, width).  ``forced_k`` fixes the corrective pass at k
     steps: k = 0 skips it and records the alignment's own T', and k > 0
     keeps the alignment's lambda, g and rho but pins T' to the longest
-    schedule, ``config.cadr.t_max``, so every k up to it fits.  Blend
+    schedule, ``config.cadr.t_max``, so every k up to it fits.  k must lie
+    in [0, t_max].  The toy's img2img pass lands on the enhanced prompt's
+    target for every k, so k > 0 reaches only the recorded T'.  Blend
     refinement ignores k, so ``forced_k`` needs ``refine_mode = img2img``.
     """
     unknown = set(disable) - set(ABLATABLE)
     if unknown:
         raise SweepConfigError(f"unknown ablation components: {sorted(unknown)}")
-    if forced_k is not None and config.refine_mode != "img2img":
-        raise SweepConfigError("forced_k needs refine_mode = img2img")
+    if forced_k is not None:
+        if config.refine_mode != "img2img":
+            raise SweepConfigError("forced_k needs refine_mode = img2img")
+        _check_k(forced_k, config)
     expected = (config.channels, config.height, config.width)
     if base_latent is not None and base_latent.shape != expected:
         raise LatentError(f"base latent shape {base_latent.shape} is not {expected}")
@@ -370,7 +379,6 @@ def run_critifusion(
                 sched,
                 config.seed,
                 mode=config.refine_mode,
-                forced_k=forced_k,
             ),
         )
         if "specfusion" in disable:
@@ -437,17 +445,21 @@ def sweep_k(config: PipelineConfig, k_values, backend=None) -> SweepTable:
     ``config.cadr.t_max`` for k > 0, and the row sets its own lambda, g and
     rho from its critique of the shared base latent; there is no probe run.
     k = 0 skips the corrective pass.  Blend refinement ignores k and is
-    rejected.
+    rejected.  In the toy every k >= 1 row refines to the same z_ref, the
+    enhanced prompt's target, so those rows are equal; only k = 0 differs.
     """
     k_values = sorted(k_values)
     for k in k_values:
-        if not (0 <= k <= config.cadr.t_max):
-            raise SweepConfigError(f"k={k} outside [0, {config.cadr.t_max}]")
+        _check_k(k, config)
     return _sweep("k", [(k, config, {"forced_k": k}) for k in k_values], backend)
 
 
 def ablate(config: PipelineConfig, mask, backend=None) -> SweepTable:
-    """Full model plus one row per disabled component in the mask."""
+    """Full model plus one row per disabled component in the mask.
+
+    Under the mock committee the ``without_vlm`` row has equalled
+    ``full`` in every toy run measured (README, "What the toy can show").
+    """
     mask = list(mask)
     unknown = set(mask) - set(ABLATABLE)
     if unknown:

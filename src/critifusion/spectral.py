@@ -60,9 +60,8 @@ class TaperSpec:
 
     def __post_init__(self):
         if not (0.0 <= self.taper_fraction <= 0.5):
-            raise SpectralError(
-                f"taper_fraction must be in [0, 0.5], got {self.taper_fraction}"
-            )
+            # Named after the config key that sets it.
+            raise SpectralError(f"taper must be in [0, 0.5], got {self.taper_fraction}")
 
 
 @dataclass(frozen=True)

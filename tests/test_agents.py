@@ -4,12 +4,17 @@ exercised against a local stub server."""
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import critifusion
 from critifusion.agents import (
     AUTH_ENV_VAR,
     EMPTY_RESPONSE,
@@ -24,6 +29,24 @@ from critifusion.agents import (
     mock_respond,
 )
 from critifusion.pipeline import PipelineConfig, run_critifusion
+
+
+def test_mock_runs_never_import_requests():
+    """``requests`` loads only when an HTTP backend makes its first call."""
+    src = str(Path(critifusion.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, critifusion.cli, critifusion.pipeline\n"
+        "print('requests' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestMockBackend:

@@ -2,12 +2,14 @@
 
 The sampler checks run against an independent step-by-step trace oracle
 that re-derives each update from the raw formulas using plain Python
-floats, sharing no code with the implementation.  The array chains are
-also checked bit for bit against a reference chain of the public step
-functions that takes the guided prediction in closed form, within 1e-12
-against one that builds both CFG branches, at shapes and tile sizes where
-the chains' tiles cut fields and Philox blocks unevenly, and for memory
-that does not grow with the step count.
+floats, sharing no code with the implementation.  The DDPM and blend array
+chains are also checked bit for bit against a reference chain of the
+public step functions that takes the guided prediction in closed form,
+within 1e-12 against one that builds both CFG branches, at shapes and tile
+sizes where the chains' tiles cut fields and Philox blocks unevenly, and
+for memory that does not grow with the step count.  DDIM sampling and the
+img2img pass return the prompt's target, which the reference DDIM chains
+reach within 1e-12.
 """
 
 import math
@@ -15,6 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critifusion import diffusion
 from critifusion.basis import basis_plane, pattern_coefficients
@@ -38,7 +41,7 @@ from critifusion.diffusion import (
     target_field,
     toy_denoiser,
 )
-from critifusion.cadr import CadrParams
+from critifusion.cadr import CadrConfig, CadrParams
 from critifusion.latents import LatentField, _gaussian_stream, sample_gaussian_latent
 
 
@@ -489,9 +492,11 @@ class TestPatternCoefficients:
 
 
 # Reference chains: one LatentField per step-function call, all noise drawn
-# up front.  With the closed-form prediction the sampler chains must
+# up front.  With the closed-form prediction the DDPM and blend chains must
 # reproduce these bits exactly; with the two-branch CFG prediction, to
-# within 1e-12.
+# within 1e-12.  DDIM sampling and the img2img pass return the target in
+# closed form: the reference DDIM chain ends on its last x0 estimate, which
+# is the target up to rounding, so they agree within 1e-12.
 
 
 def ref_noise_fields(seed, stream, count, c, h, w):
@@ -527,7 +532,11 @@ def ref_base_sample(cond, sched, sampler, seed, c, h, w, guided_eps=ref_guided_e
     return z
 
 
-def ref_refine(z_base, cond, params, sched, seed, mode, guided_eps=ref_guided_eps):
+def ref_refine(
+    z_base, cond, params, sched, seed, mode, guided_eps=ref_guided_eps, k=None
+):
+    """The paper's corrective pass; img2img starts at k = round(lam * T')
+    unless ``k`` is given."""
     T_prime = params.T_prime
     sub = make_schedule(T_prime, sched.beta_start, sched.beta_end)
     w = max(params.g - 1.0, 0.0)
@@ -545,7 +554,8 @@ def ref_refine(z_base, cond, params, sched, seed, mode, guided_eps=ref_guided_ep
             )
             z = z.with_values(out)
         return z
-    k = int(np.floor(params.lam * T_prime + 0.5))
+    if k is None:
+        k = int(np.floor(params.lam * T_prime + 0.5))
     t_start = T_prime - strength_to_start(k, T_prime).t0
     z = forward_noise(z_base, t_start - 1, sub, noises[0])
     for t in range(t_start, 0, -1):
@@ -563,6 +573,18 @@ def conditioning(kind, w):
 # block, so consecutive noise steps start mid-block.
 DIMS = (3, 17, 18)
 
+# DDIM sampling and the img2img pass are closed forms of a reference chain.
+CLOSED_FORMS = {"ddim", "img2img"}
+CLOSED_FORM_TOL = 1e-12
+
+
+def assert_matches_reference(out, ref, sampler_or_mode):
+    """Bit for bit for a chain; within CLOSED_FORM_TOL for a closed form."""
+    if sampler_or_mode in CLOSED_FORMS:
+        assert np.abs(out.values - ref.values).max() <= CLOSED_FORM_TOL
+    else:
+        assert out.values.tobytes() == ref.values.tobytes()
+
 
 class TestChainsMatchStepFunctions:
     @pytest.mark.parametrize("kind", ["prompt", "null"])
@@ -573,7 +595,7 @@ class TestChainsMatchStepFunctions:
         cond = conditioning(kind, w)
         out = base_sample(cond, s, sampler, 4, *DIMS)
         ref = ref_base_sample(cond, s, sampler, 4, *DIMS)
-        assert out.values.tobytes() == ref.values.tobytes()
+        assert_matches_reference(out, ref, sampler)
         cfg = ref_base_sample(cond, s, sampler, 4, *DIMS, guided_eps=two_branch_eps)
         assert np.abs(out.values - cfg.values).max() < 1e-12
 
@@ -588,7 +610,7 @@ class TestChainsMatchStepFunctions:
         out = img2img_refine(z_base, cond, params, s, 2, mode=mode)
         ref = ref_refine(z_base, cond, params, s, 2, mode)
         assert not np.array_equal(out.values, z_base.values)
-        assert out.values.tobytes() == ref.values.tobytes()
+        assert_matches_reference(out, ref, mode)
         cfg = ref_refine(z_base, cond, params, s, 2, mode, guided_eps=two_branch_eps)
         assert np.abs(out.values - cfg.values).max() < 1e-12
 
@@ -625,7 +647,7 @@ class TestTiledChains:
         cond = conditioning("prompt", 3.0)
         out = base_sample(cond, s, sampler, 4, *dims)
         ref = ref_base_sample(cond, s, sampler, 4, *dims)
-        assert out.values.tobytes() == ref.values.tobytes()
+        assert_matches_reference(out, ref, sampler)
 
     @pytest.mark.parametrize("mode", ["img2img", "blend"])
     def test_refine(self, dims, mode):
@@ -635,7 +657,39 @@ class TestTiledChains:
         cond = conditioning("prompt", 0.0)
         out = img2img_refine(z_base, cond, params, s, 2, mode=mode)
         ref = ref_refine(z_base, cond, params, s, 2, mode)
-        assert out.values.tobytes() == ref.values.tobytes()
+        assert_matches_reference(out, ref, mode)
+
+
+class TestImg2ImgClosedForm:
+    """The img2img pass is the enhanced target for every lambda, T', k, g,
+    seed and base sampler: the paper's chain from any start lands there."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(0.0, 1.0),
+        T_prime=st.integers(1, CadrConfig().t_max),
+        k_share=st.floats(0.0, 1.0),
+        g=st.floats(1.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+        sampler=st.sampled_from(["ddim", "ddpm"]),
+        dims=st.sampled_from([(3, 17, 23), (1, 16, 16), (2, 19, 31)]),
+        enhanced=st.sets(st.integers(0, 15), min_size=1),
+    )
+    def test_matches_the_chain_from_every_start(
+        self, lam, T_prime, k_share, g, seed, sampler, dims, enhanced
+    ):
+        k = 1 + int(k_share * (T_prime - 1))  # in [1, T']
+        s = make_schedule(12, 1e-4, 0.02)
+        z_base = base_sample(conditioning("prompt", 0.0), s, sampler, seed, *dims)
+        cond = Conditioning(embedding(*enhanced))
+        params = CadrParams(lam=lam, g=g, T_prime=T_prime, rho=0.7)
+        z_ref = img2img_refine(z_base, cond, params, s, seed)
+        ref = ref_refine(z_base, cond, params, s, seed, "img2img", k=k)
+        assert np.abs(z_ref.values - ref.values).max() <= CLOSED_FORM_TOL
+        target = target_field(cond, *dims).values
+        assert np.array_equal(
+            pattern_coefficients(z_ref.values), pattern_coefficients(target)
+        )
 
 
 def peak_bytes(fn):

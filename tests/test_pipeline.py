@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from critifusion import pipeline, vocab
 from critifusion.agents import AgentTransportError, MockAgentBackend, mock_respond
+from critifusion.cadr import CadrConfig
 from critifusion.criticore import CommitteeConfig, EmptyInputError
 from critifusion.latents import LatentError, LatentField, read_latent
 from critifusion.pipeline import (
@@ -521,6 +522,12 @@ class TestSweepK:
         assert rec.cadr["T_prime"] > 0
         assert np.array_equal(latents["z_fused"].values, latents["z_base"].values)
 
+    @pytest.mark.parametrize("k", [-1, 31])
+    def test_forced_k_out_of_range_rejected_before_any_run(self, base_sample_calls, k):
+        with pytest.raises(SweepConfigError, match=f"k={k}"):
+            run_critifusion(PipelineConfig(prompt=DEGRADED, seed=2), forced_k=k)
+        assert base_sample_calls == []
+
     def test_forced_k_rejects_blend(self, base_sample_calls):
         cfg = PipelineConfig(prompt=DEGRADED, seed=2, refine_mode="blend")
         with pytest.raises(SweepConfigError, match="img2img"):
@@ -574,6 +581,34 @@ class TestAblate:
     def test_unknown_component(self):
         with pytest.raises(SweepConfigError):
             ablate(PipelineConfig(prompt=DEGRADED), ["warp"])
+
+
+def final_score(sampler, refine_mode, lam):
+    """A DEGRADED run's final score with CADR's lambda pinned to ``lam``."""
+    cadr = CadrConfig(lam_min=lam, lam_span=0.0)
+    config = PipelineConfig(
+        prompt=DEGRADED, seed=3, sampler=sampler, refine_mode=refine_mode, cadr=cadr
+    )
+    record, _ = run_critifusion(config)
+    return record.alignment["final"]
+
+
+@pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
+class TestLambdaReach:
+    """README, "What the toy can show": lambda acts only in blend mode.
+
+    The blend guard keeps the img2img invariance (and the closed-form
+    properties in test_diffusion.py) from passing because lambda reaches
+    nothing at all.
+    """
+
+    def test_lambda_moves_a_blend_score(self, sampler):
+        low, high = (final_score(sampler, "blend", lam) for lam in (0.12, 0.3))
+        assert abs(high - low) > 0.05
+
+    def test_lambda_leaves_an_img2img_score(self, sampler):
+        low, high = (final_score(sampler, "img2img", lam) for lam in (0.12, 0.3))
+        assert low == high
 
 
 class TestSweepEnsemble:

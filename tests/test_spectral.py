@@ -321,3 +321,30 @@ class TestFftOrderFusion:
         field = 8 * 4 * size * size
         peak = peak_bytes(lambda: spec_fuse(ref, base, 0.6, TaperSpec(0.1), True))
         assert peak < self.PEAK_FIELDS[size] * field
+
+
+class TestFusionKeepsClauseContent:
+    """README, "What the toy can show": with the clamp off, fusion passes
+    z_ref's pattern coefficients through for every rho <= 0.85, because
+    every basis pattern lies outside the passband.  On square grids that
+    holds from 60 x 60 up (checked to 1024 x 1024); below 60 the largest
+    passbands reach some patterns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rho=st.floats(0.0, 0.85),
+        taper=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(4, 64, 64), (3, 47, 61), (1, 128, 96)]),
+        enhanced=st.sets(st.integers(0, 15), min_size=1),
+    )
+    def test_fused_coefficients_are_z_refs(self, rho, taper, seed, dims, enhanced):
+        from critifusion.basis import pattern_coefficients, synthesize_target
+
+        weights = np.zeros(16)
+        weights[sorted(enhanced)] = 1.0
+        z_ref = LatentField(*dims, synthesize_target(weights, *dims))
+        z_base = sample_gaussian_latent(*dims, seed)
+        fused = spec_fuse(z_ref, z_base, rho, TaperSpec(taper), clamp=False)
+        gap = pattern_coefficients(fused.values) - pattern_coefficients(z_ref.values)
+        assert np.abs(gap).max() <= 1e-12
