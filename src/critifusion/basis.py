@@ -1,13 +1,17 @@
 """Cosine basis bank backing the analytic toy backend.
 
 Targets are mixtures of 16 separable 2-D cosine patterns.  Frequencies sit
-just below Nyquist so that pattern content lives entirely in the high band
-of any low-pass mask with rho <= 0.85; fusion therefore carries clause
-content from the refined latent.  Patterns are mutually orthogonal on the
-sample grid, so mixture coefficients can be read back by projection.
+just below Nyquist.  On square grids of 60 x 60 and up that puts pattern
+content entirely in the high band of any low-pass mask with rho <= 0.85,
+so fusion carries clause content from the refined latent; below 60 x 60
+the largest passbands reach some patterns.  Patterns are mutually
+orthogonal on the sample grid, so mixture coefficients can be read back by
+projection.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -31,16 +35,25 @@ def basis_frequencies(index: int, height: int, width: int) -> tuple[int, int]:
     return (height // 2 - 1 - index // 4, width // 2 - 1 - index % 4)
 
 
-def _cosines(freqs, size: int) -> np.ndarray:
-    """size x len(freqs) columns cos(2*pi*f*n/size), n = 0 .. size - 1."""
+# A grid uses two 16-column tables and up to eight single columns, about
+# 1.3 MB at 4096 x 4096; 16 entries hold at most 8 MB at that size.
+@functools.lru_cache(maxsize=16)
+def _cosines(freqs: tuple[int, ...], size: int) -> np.ndarray:
+    """size x len(freqs) columns cos(2*pi*f*n/size), n = 0 .. size - 1.
+
+    Memoised per (freqs, size) and read-only: every grid asks for the same
+    few tables on every call.
+    """
     n = np.arange(size, dtype=np.float64)[:, None]
-    return np.cos(2.0 * np.pi * np.asarray(freqs, dtype=np.float64) * n / size)
+    table = np.cos(2.0 * np.pi * np.asarray(freqs, dtype=np.float64) * n / size)
+    table.flags.writeable = False
+    return table
 
 
 def basis_plane(index: int, height: int, width: int) -> np.ndarray:
     """H x W pattern cos(2*pi*a*y/H) * cos(2*pi*b*x/W)."""
     a, b = basis_frequencies(index, height, width)
-    return np.outer(_cosines([a], height), _cosines([b], width))
+    return np.outer(_cosines((a,), height), _cosines((b,), width))
 
 
 def synthesize_target(

@@ -11,6 +11,10 @@ of its 4-word block between calls, so successive ``_fill_gaussians`` calls
 of any sizes concatenate to one ``_gaussian_stream`` draw.  Callers may
 draw a field tile by tile, with any tile size, and get the same bits as one
 draw of the whole field.
+
+Only the Gaussian draws need scipy (``ndtri``), and only the DDPM and blend
+chains draw, so scipy is imported on the first draw: a DDIM run never loads
+it.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 MAGIC = b"CRTFLAT1"
 MIN_DIM = 2
 MAX_DIM = 4096
 MAX_CHANNELS = 2**16
-# Payload read size: a header can declare up to 4 TiB, so the payload is
+# Values per field, 4 x MAX_DIM x MAX_DIM: one float64 field is 537 MB.
+MAX_ELEMENTS = 2**26
+# Payload read size: a header can declare up to 256 MiB, so the payload is
 # read in chunks and memory follows what the stream really holds.
 READ_CHUNK = 1 << 20
 
@@ -59,6 +64,11 @@ def _check_dims(channels: int, height: int, width: int, error=DimensionBoundsErr
     for name, value in (("height", height), ("width", width)):
         if not (MIN_DIM <= value <= MAX_DIM):
             raise error(f"{name} must be in [{MIN_DIM}, {MAX_DIM}], got {value}")
+    if channels * height * width > MAX_ELEMENTS:
+        raise error(
+            f"channels * height * width must be at most {MAX_ELEMENTS} "
+            f"(4 x {MAX_DIM} x {MAX_DIM}), got {channels} x {height} x {width}"
+        )
 
 
 @dataclass(frozen=True)
@@ -112,12 +122,21 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
 
 
+def ndtri(x, out=None):
+    """scipy.special.ndtri, the inverse normal CDF; scipy loads on the first call."""
+    from scipy.special import ndtri as scipy_ndtri
+
+    return scipy_ndtri(x, out=out)
+
+
 def _fill_gaussians(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Write the next ``out.size`` words of ``gen`` into ``out`` as N(0, 1) draws.
 
     Each 64-bit word is reduced to a 53-bit integer k and mapped to the
     open-interval uniform u = (k + 0.5) * 2**-53, then through the inverse
-    normal CDF, in place in the float64 array ``out``.
+    normal CDF, in place in the float64 array ``out``.  ``ndtri`` is read
+    from the module at each call, so a wrapper set on ``latents.ndtri`` sees
+    every draw.
     """
     words = gen.integers(0, 2**64, size=out.shape, dtype=np.uint64)
     words >>= np.uint64(11)

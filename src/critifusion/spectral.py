@@ -1,10 +1,12 @@
 """2-D spectra, the confidence-controlled low-pass mask, and spectral fusion.
 
 Only the public ``Spectrum`` API is DC-centered, with the zero frequency at
-(H//2, W//2).  Fusion runs in the FFT's own order, shifting only the mask: it
-keeps the low band of the base latent and the high band of the refined one.
-Each channel is transformed on its own, so fusion runs over blocks of whole
-channels and holds the complex spectra of one block at a time.
+(H//2, W//2).  Fusion keeps the low band of the base latent and the high
+band of the refined one.  It runs in the FFT's own order on rfft2's real
+half plane, under a mask built from two shifted 1-D profiles, so it builds
+no H x W mask and no full complex spectrum.  Each channel is transformed on
+its own, so fusion runs over blocks of whole channels and holds the
+half-plane spectra of one block at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ class SpectralError(ValueError):
 
 
 class SymmetryViolationError(SpectralError):
-    """Inverse transform produced an imaginary residue above tolerance."""
+    """A spectrum or mask that is not Hermitian: an inverse transform's
+    imaginary residue above tolerance, or a fusion mask profile that is not
+    even about the DC bin."""
 
 
 class MaskRangeError(SpectralError):
@@ -89,27 +93,20 @@ def forward_spectrum(field: LatentField) -> Spectrum:
     return Spectrum(*field.shape, np.fft.fftshift(coeffs, axes=(-2, -1)))
 
 
-def _imag_residue(complex_field: np.ndarray) -> float:
-    """Largest |imaginary part|, without an array of absolute values."""
-    imag = complex_field.imag
-    return max(float(imag.max()), -float(imag.min()))
+def inverse_spectrum(spec: Spectrum) -> LatentField:
+    """Invert a centered spectrum back to a real field.
 
-
-def _check_residue(residue: float, norm: float) -> None:
-    """Reject an inverse DFT whose imaginary residue exceeds 1e-6 * the L2
-    norm of its coefficients, the sign of a non-Hermitian spectrum."""
-    tol = 1e-6 * max(norm, 1e-30)
+    An imaginary residue above 1e-6 * the L2 norm of the coefficients is the
+    sign of a non-Hermitian spectrum and raises SymmetryViolationError.
+    """
+    coeffs = np.fft.ifftshift(spec.coefficients, axes=(-2, -1))
+    complex_field = np.fft.ifft2(coeffs, axes=(-2, -1))
+    residue = float(np.abs(complex_field.imag).max())
+    tol = 1e-6 * max(float(np.linalg.norm(coeffs)), 1e-30)
     if residue > tol:
         raise SymmetryViolationError(
             f"imaginary residue {residue:.3e} exceeds tolerance {tol:.3e}"
         )
-
-
-def inverse_spectrum(spec: Spectrum) -> LatentField:
-    """Invert a centered spectrum back to a real field (see _check_residue)."""
-    coeffs = np.fft.ifftshift(spec.coefficients, axes=(-2, -1))
-    complex_field = np.fft.ifft2(coeffs, axes=(-2, -1))
-    _check_residue(_imag_residue(complex_field), float(np.linalg.norm(coeffs)))
     return LatentField(spec.channels, spec.height, spec.width, complex_field.real)
 
 
@@ -131,43 +128,50 @@ def _axis_profile(size: int, half_width: int, taper_fraction: float) -> np.ndarr
     return profile
 
 
-def build_lowpass_mask(
+def _profiles(
     height: int, width: int, rho: float, taper: TaperSpec
-) -> MaskPlane:
-    """Centered rectangular low-pass mask whose passband grows with rho.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The low-pass mask's two centered axis profiles; the mask is their outer
+    product.
 
     Half-widths are floor(rho * dim / 2); rho = 0 gives the all-zero mask
     and rho = 1 the all-one mask.  Any rho > 0 keeps at least the DC bin.
     """
     if not np.isfinite(rho) or not (0.0 <= rho <= 1.0):
         raise MaskRangeError(f"rho must be in [0, 1], got {rho}")
-    if rho == 0.0:
-        return MaskPlane(height, width, np.zeros((height, width)))
-    if rho == 1.0:
-        return MaskPlane(height, width, np.ones((height, width)))
+    if rho in (0.0, 1.0):
+        return np.full(height, float(rho)), np.full(width, float(rho))
     h_u = int(np.floor(rho * height / 2))
     h_v = int(np.floor(rho * width / 2))
-    pu = _axis_profile(height, h_u, taper.taper_fraction)
-    pv = _axis_profile(width, h_v, taper.taper_fraction)
-    return MaskPlane(height, width, np.outer(pu, pv))
+    return (
+        _axis_profile(height, h_u, taper.taper_fraction),
+        _axis_profile(width, h_v, taper.taper_fraction),
+    )
 
 
-# numpy transforms a real input through a complex copy of the whole input,
-# and its in-place ifft2 rounds differently.  These two forms hold only
-# their result (and, for the inverse, its input) and give fft2's and
-# ifft2's bits.
+def build_lowpass_mask(
+    height: int, width: int, rho: float, taper: TaperSpec
+) -> MaskPlane:
+    """Centered rectangular low-pass mask whose passband grows with rho."""
+    return MaskPlane(height, width, np.outer(*_profiles(height, width, rho, taper)))
 
 
-def _spectrum(values: np.ndarray) -> np.ndarray:
-    """Per-channel fft2 of real values, in place in one complex copy."""
-    coefficients = values.astype(np.complex128)
-    return np.fft.fft2(coefficients, axes=(-2, -1), out=coefficients)
+def _half_plane_mask(height: int, width: int, rho: float, taper: TaperSpec) -> np.ndarray:
+    """The low-pass mask in FFT order on rfft2's half plane, H x (W//2 + 1).
 
-
-def _inverse(coefficients: np.ndarray) -> np.ndarray:
-    """Per-channel ifft2: the last axis into a new array, then the other in place."""
-    field = np.fft.ifft(coefficients, axis=-1)
-    return np.fft.ifft(field, axis=-2, out=field)
+    Both profiles are shifted to FFT order, where each must equal its own
+    mirror, p[k] == p[-k], and lie in [0, 1].  Then the whole mask is real
+    and even, so the half plane of a real input's fused spectrum determines
+    the rest, and irfft2 returns exactly the fusion of the full spectra.
+    Otherwise fusion would silently symmetrise, so this raises instead.
+    """
+    pu, pv = (np.fft.ifftshift(p) for p in _profiles(height, width, rho, taper))
+    for p in (pu, pv):
+        if not np.array_equal(p[1:], p[:0:-1]) or p.min() < 0.0 or p.max() > 1.0:
+            raise SymmetryViolationError(
+                "mask profile must be even about the DC bin and lie in [0, 1]"
+            )
+    return np.outer(pu, pv[: width // 2 + 1])
 
 
 def spec_fuse(
@@ -181,38 +185,37 @@ def spec_fuse(
 
     The same mask plane is applied to every channel.  With clamp on, each
     output value is clipped to the per-channel [min, max] of z_base.
-    Channels are fused in blocks of at most FUSE_BLOCK values (one channel
-    at least), so only one block's spectra are held at a time; the largest
-    imaginary residue over all blocks is judged against the norm of the
-    whole fused spectrum (see _check_residue).
+    Both inputs are real, so fusion runs on rfft2's half plane (see
+    _half_plane_mask).  Channels are fused in blocks of at most FUSE_BLOCK
+    values (one channel at least), so only one block's spectra are held at
+    a time.
     """
     if z_ref.shape != z_base.shape:
         raise SpectralError(
             f"shape mismatch: z_ref {z_ref.shape} vs z_base {z_base.shape}"
         )
-    low = np.fft.ifftshift(
-        build_lowpass_mask(z_base.height, z_base.width, rho, taper).weights
-    )
+    height, width = z_base.height, z_base.width
+    low = _half_plane_mask(height, width, rho, taper)
     high = 1.0 - low
     out = None  # allocated once the first block's spectra are freed
-    residue = sqnorm = 0.0
-    step = max(1, FUSE_BLOCK // (z_base.height * z_base.width))
+    step = max(1, FUSE_BLOCK // (height * width))
     for first in range(0, z_base.channels, step):
         block = slice(first, first + step)
-        fused = _spectrum(z_base.values[block])
+        base = z_base.values[block]
+        spectra = base.shape[:1] + low.shape
+        # Given an out array, rfft2 runs its second pass in place.
+        fused = np.fft.rfft2(base, out=np.empty(spectra, complex))
         fused *= low
-        ref = _spectrum(z_ref.values[block])
+        ref = np.fft.rfft2(z_ref.values[block], out=np.empty(spectra, complex))
         ref *= high
         fused += ref
-        del ref  # frees its spectrum before the inverse allocates another
-        sqnorm += np.vdot(fused, fused).real
-        fused = _inverse(fused)
-        residue = max(residue, _imag_residue(fused))
+        del ref  # frees its spectrum before the output is allocated
         if out is None:
             out = np.empty(z_base.shape)
-        out[block] = fused.real
+        # irfft2's two passes, the first in place, the second into the output.
+        np.fft.ifft(fused, axis=-2, out=fused)
+        np.fft.irfft(fused, n=width, axis=-1, out=out[block])
         del fused  # before the next block's spectra
-    _check_residue(residue, float(np.sqrt(sqnorm)))
     if clamp:
         flat = z_base.values.reshape(z_base.channels, -1)
         lo = flat.min(axis=1)[:, None, None]

@@ -31,22 +31,28 @@ from critifusion.agents import (
 from critifusion.pipeline import PipelineConfig, run_critifusion
 
 
-def test_mock_runs_never_import_requests():
-    """``requests`` loads only when an HTTP backend makes its first call."""
+def fresh_interpreter(code, *args):
+    """stdout of ``code`` run with ``args`` by a new interpreter that imports
+    this checkout's critifusion, so no module is loaded beforehand."""
     src = str(Path(critifusion.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, critifusion.cli, critifusion.pipeline\n"
-        "print('requests' in sys.modules)"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_mock_runs_never_import_requests():
+    """``requests`` loads only when an HTTP backend makes its first call."""
+    code = (
+        "import sys, critifusion.cli, critifusion.pipeline\n"
+        "print('requests' in sys.modules)"
+    )
+    assert fresh_interpreter(code).strip() == "False"
 
 
 class TestMockBackend:

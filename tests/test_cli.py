@@ -85,6 +85,9 @@ INVALID = [
     {"channels": 0},
     # One over MAX_CHANNELS, on the smallest grid the toy basis allows.
     {"channels": 65537, "height": 16, "width": 16, "steps": 2},
+    # Each dimension is in range, but one field would hold 2**31 values
+    # (17 GB in float64): over MAX_ELEMENTS.  Only ever built, never run.
+    {"channels": 128, "height": 4096, "width": 4096},
     {"cadr.lam_span": math.nan},
     {"cadr.g_min": math.nan},
     {"cadr.t_min": -40},
@@ -185,7 +188,8 @@ class TestErrors:
             PipelineConfig(**{"prompt": "aurora", **rest}, cadr=CadrConfig(**cadr))
 
     def test_max_channels_builds(self):
-        PipelineConfig(prompt="aurora", channels=MAX_CHANNELS)
+        # 2**16 channels fit under MAX_ELEMENTS on the smallest toy grid.
+        PipelineConfig(prompt="aurora", channels=MAX_CHANNELS, height=16, width=16)
 
     def test_duplicate_k(self, tmp_path, cfg_file):
         out = tmp_path / "o"
@@ -356,7 +360,7 @@ class TestRefine:
 
     def test_refine_oversized_header_exit_1_no_traceback(self, tmp_path, cfg_file, capsys):
         huge = tmp_path / "huge.crtf"
-        huge.write_bytes(MAGIC + struct.pack("<III", 2**16, 4096, 4096) + bytes(16))
+        huge.write_bytes(MAGIC + struct.pack("<III", 4, 4096, 4096) + bytes(16))
         out = tmp_path / "o"
         code = main(
             ["refine", "--config", str(cfg_file), "--out", str(out), "--latent", str(huge)]
@@ -467,3 +471,47 @@ class TestInspect:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["inspect", str(path)]) == EXIT_CONFIG
         assert f"malformed record line: {message}" in capsys.readouterr().err
+
+
+# Runs the given CLI argv lists in order in a fresh interpreter and prints
+# their exit codes and whether scipy was loaded.
+SCIPY_PROBE = """
+import json, sys
+from critifusion.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def probe_scipy(runs):
+    from test_agents import fresh_interpreter
+
+    return json.loads(fresh_interpreter(SCIPY_PROBE, json.dumps(runs)).splitlines()[-1])
+
+
+class TestScipyLoadsOnTheFirstDraw:
+    """scipy serves only the Gaussian draws (``latents.ndtri``), and only
+    the DDPM and blend chains draw, so a DDIM run never loads it."""
+
+    def test_ddim_runs_and_sweeps_never_import_scipy(self, tmp_path, cfg_file):
+        cfg, out = str(cfg_file), str(tmp_path)
+        runs = [
+            ["generate", "--config", cfg, "--out", f"{out}/gen"],
+            ["refine", "--config", cfg, "--out", f"{out}/refine",
+             "--latent", f"{out}/gen/z_base.crtf"],
+            ["sweep-k", "--config", cfg, "--out", f"{out}/k", "--k", "0,10"],
+            ["ablate", "--config", cfg, "--out", f"{out}/ablate"],
+            ["sweep-ensemble", "--config", cfg, "--out", f"{out}/ens", "--sizes", "1,2"],
+        ]
+        assert probe_scipy(runs) == {"codes": [EXIT_OK] * len(runs), "scipy": False}
+
+    def test_ddpm_run_imports_scipy_and_keeps_its_pins(self, tmp_path, cfg_file):
+        from test_golden import GOLDEN
+
+        cfg_file.write_text("prompt = aurora\nseed = 3\nsampler = ddpm\n", encoding="utf-8")
+        out = tmp_path / "gen"
+        runs = [["generate", "--config", str(cfg_file), "--out", str(out)]]
+        assert probe_scipy(runs) == {"codes": [EXIT_OK], "scipy": True}
+        digests = read_record(out)[0]["digests"]
+        got = tuple(digests[name] for name in ("z_base", "z_ref", "z_fused"))
+        assert got == GOLDEN[(3, "ddpm", "img2img")]

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from critifusion import diffusion
+from critifusion import basis, diffusion, latents
 from critifusion.basis import basis_plane, pattern_coefficients
 from critifusion.diffusion import (
     Conditioning,
@@ -42,7 +42,7 @@ from critifusion.diffusion import (
     toy_denoiser,
 )
 from critifusion.cadr import CadrConfig, CadrParams
-from critifusion.latents import LatentField, _gaussian_stream, sample_gaussian_latent
+from critifusion.latents import LatentField, _gaussian_stream, ndtri, sample_gaussian_latent
 
 
 def const_field(value, c=1, h=2, w=2):
@@ -490,6 +490,13 @@ class TestPatternCoefficients:
         assert got.shape == (16,)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_cosine_tables_are_built_once_and_read_only(self):
+        # Every caller gets the same memoised table, so none may write to it.
+        table = basis._cosines((7, 6), 16)
+        assert basis._cosines((7, 6), 16) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
 
 # Reference chains: one LatentField per step-function call, all noise drawn
 # up front.  With the closed-form prediction the DDPM and blend chains must
@@ -660,6 +667,41 @@ class TestTiledChains:
         assert_matches_reference(out, ref, mode)
 
 
+class TestNdtriSeesEveryDraw:
+    """Every chain draw goes through ``latents.ndtri``, looked up when it is
+    called, so a wrapper set there (perfbench's ``--trace 1`` sets one)
+    sees each draw and changes no bit."""
+
+    def test_wrapper_sees_every_chain_draw(self, monkeypatch):
+        dims = (4, 130, 130)  # several tiles, the last one short
+        s = make_schedule(6, 1e-3, 0.05)
+        cond = conditioning("prompt", 3.0)
+        params = CadrParams(lam=0.5, g=4.0, T_prime=5, rho=0.7)
+
+        def runs():
+            z_base = base_sample(cond, s, "ddpm", 4, *dims)
+            return [
+                z_base,
+                img2img_refine(z_base, cond, params, s, 2, mode="blend"),
+                base_sample(cond, s, "ddim", 4, *dims),
+                img2img_refine(z_base, cond, params, s, 2, mode="img2img"),
+            ]
+
+        plain = runs()
+        draws, original = [], latents.ndtri
+
+        def counting(x, out=None):
+            draws.append(x.size)
+            return original(x, out=out)
+
+        monkeypatch.setattr(latents, "ndtri", counting)
+        traced = runs()
+        assert [f.values.tobytes() for f in traced] == [f.values.tobytes() for f in plain]
+        # The seed latent and one field per step of each chain; DDIM and
+        # img2img draw nothing.
+        assert sum(draws) == (1 + s.steps + params.T_prime) * math.prod(dims)
+
+
 class TestImg2ImgClosedForm:
     """The img2img pass is the enhanced target for every lambda, T', k, g,
     seed and base sampler: the paper's chain from any start lands there."""
@@ -693,6 +735,9 @@ class TestImg2ImgClosedForm:
 
 
 def peak_bytes(fn):
+    """Peak traced allocation of ``fn()``.  scipy is loaded first, so a first
+    Gaussian draw does not count its import as field memory."""
+    ndtri(np.zeros(1))
     tracemalloc.start()
     try:
         fn()

@@ -17,6 +17,7 @@ from scipy.special import ndtri
 
 from critifusion.latents import (
     MAGIC,
+    MAX_DIM,
     READ_CHUNK,
     BadMagicError,
     DimensionBoundsError,
@@ -25,6 +26,7 @@ from critifusion.latents import (
     LatentField,
     TruncatedStreamError,
     VaeScale,
+    _check_dims,
     _fill_gaussians,
     _gaussian_stream,
     _philox,
@@ -58,6 +60,14 @@ class TestLatentField:
             LatentField(1, 2, 5000, np.zeros((1, 2, 5000)))
         with pytest.raises(DimensionBoundsError):
             LatentField(2**16 + 1, 2, 2, np.zeros((2**16 + 1, 2, 2)))
+
+    def test_element_cap(self):
+        # 4 x 4096 x 4096 is the largest field; one channel more is rejected,
+        # by the rule that configs and file headers share.  Nothing is
+        # allocated: the dims are checked alone.
+        _check_dims(4, MAX_DIM, MAX_DIM)
+        with pytest.raises(DimensionBoundsError, match="channels"):
+            _check_dims(5, MAX_DIM, MAX_DIM)
 
     def test_values_immutable(self):
         f = make_field([1, 2, 3, 4])
@@ -160,9 +170,10 @@ class TestSerialization:
     def test_oversized_header_allocates_only_what_the_stream_holds(
         self, tmp_path, source
     ):
-        # The header declares 2**16 x 4096 x 4096 floats (4 TiB); 16 bytes follow.
+        # The header declares 4 x 4096 x 4096 floats (256 MiB), the most
+        # MAX_ELEMENTS allows; 16 bytes follow.
         path = tmp_path / "huge.crtf"
-        path.write_bytes(MAGIC + struct.pack("<III", 2**16, 4096, 4096) + bytes(16))
+        path.write_bytes(MAGIC + struct.pack("<III", 4, 4096, 4096) + bytes(16))
         tracemalloc.start()
         try:
             with pytest.raises(TruncatedStreamError, match="got 16"):
@@ -177,7 +188,9 @@ class TestSerialization:
         assert peak < 2 * READ_CHUNK
 
     def test_dimension_overflow(self):
-        for dims in ((1, 5000, 2), (2**16 + 1, 2, 2)):
+        # Over MAX_DIM, over MAX_CHANNELS, and each in range but 2**40 values
+        # in all, over MAX_ELEMENTS.
+        for dims in ((1, 5000, 2), (2**16 + 1, 2, 2), (2**16, 4096, 4096)):
             header = MAGIC + struct.pack("<III", *dims)
             with pytest.raises(DimensionOverflowError):
                 read_latent(io.BytesIO(header + b"\x00" * 16))

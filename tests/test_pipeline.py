@@ -808,13 +808,13 @@ class TestDecode:
 class TestRunMemory:
     """A whole run's peak memory is a few fields, under either sampler.
 
-    The peak is in ``spec_fuse``, with ``z_base`` and ``z_ref`` held: 7.63
-    fields at 4 x 64 x 64, where fusion is one four-channel block, and 4.78
-    at 4 x 128 x 128 and 4.63 at 4 x 256 x 256, where a block is one channel.
-    Each bound adds about half a field.
+    The peak is in ``spec_fuse``, with ``z_base`` and ``z_ref`` held: 5.58
+    fields at 4 x 64 x 64 (5.37 under DDIM), where fusion is one
+    four-channel block, and 4.48 at 4 x 128 x 128 and 4.42 at 4 x 256 x 256,
+    where a block is one channel.  Each bound adds about half a field.
     """
 
-    PEAK_FIELDS = {64: 8.25, 128: 5.25, 256: 5.25}
+    PEAK_FIELDS = {64: 6.1, 128: 5.0, 256: 4.9}
 
     def peak_fields(self, size, **knobs):
         from test_diffusion import peak_bytes
