@@ -3,25 +3,33 @@
 The mock backend is a pure function of (agent id, request text) and never
 touches the network, which keeps every committee test offline and
 bit-reproducible.  The HTTP backend speaks the common chat-completion wire
-format with bounded retries and exponential backoff.
+format over the standard library's ``http.client``, with bounded retries,
+exponential backoff and a pool of keep-alive connections.  ``http.client``
+is imported when the first pool is made, so a mock run never loads it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import os
+import select
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import partial
+from urllib.parse import urlsplit
 
 from . import vocab
-
-if TYPE_CHECKING:
-    import requests
 
 AUTH_ENV_VAR = "CRITIFUSION_API_KEY"
 EMPTY_RESPONSE = "(none)"
 TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
+# Idle keep-alive connections a pool keeps; a connection returned to a full
+# pool is closed.
+MAX_IDLE = 10
 
 
 class AgentError(Exception):
@@ -54,8 +62,13 @@ class AgentEndpoint:
     backoff: float = 0.25
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ValueError("base_url must be nonempty")
+        try:
+            parts = urlsplit(self.base_url)
+            valid = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+        except ValueError:  # a malformed IPv6 host or a port outside [0, 65535]
+            valid = False
+        if not valid:
+            raise ValueError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be finite and positive, got {self.timeout}")
         if self.max_retries < 0:
@@ -94,6 +107,7 @@ class AgentResponse:
     latency: float = 0.0
     prompt_tokens: int = 0
     completion_tokens: int = 0
+    attempts: int = 1
 
 
 def make_request(directive: str, text: str) -> AgentRequest:
@@ -144,34 +158,139 @@ class MockAgentBackend:
         return mock_respond(agent_id, request)
 
 
+def _dropped(sock) -> bool:
+    """True when an idle connection's socket reads ready: the server has
+    closed it (or sent bytes nobody asked for), so it must not be reused."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class ConnectionPool:
+    """Keep-alive connections to one base URL's ``/chat/completions``.
+
+    Threads share a pool: a post takes an idle connection, or opens one, and
+    gives it back when the response allows reuse.  An idle connection the
+    server has closed is dropped before use, so it costs no attempt.
+    Proxies come from ``http_proxy``/``https_proxy``/``no_proxy`` when the
+    pool is made: plain HTTP goes to the proxy with the absolute URI, and
+    https tunnels through it with CONNECT.  Credentials in a proxy URL are
+    not sent.
+    """
+
+    def __init__(self, base_url: str):
+        from urllib.request import getproxies, proxy_bypass
+
+        url = base_url.rstrip("/") + "/chat/completions"
+        parts = urlsplit(url)
+        https = parts.scheme == "https"
+        address = (parts.hostname, parts.port or (443 if https else 80))
+        self._target = parts.path
+        self._tunnel = None
+        proxy = getproxies().get(parts.scheme)
+        if proxy and not proxy_bypass(parts.hostname):
+            if https:
+                self._tunnel = address
+            else:
+                self._target = url
+            proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            address = (proxy_parts.hostname, proxy_parts.port or 80)
+        if https:
+            import ssl
+            from http.client import HTTPSConnection
+
+            context = ssl.create_default_context()
+            self._open = partial(HTTPSConnection, *address, context=context)
+        else:
+            from http.client import HTTPConnection
+
+            self._open = partial(HTTPConnection, *address)
+        self._idle: list = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
+
+    def post(self, body: bytes, headers: dict, timeout: float) -> tuple[int, bytes]:
+        """One POST; returns (status, body).  Socket and protocol errors
+        propagate, and the connection they came from is closed."""
+        conn = self._take(timeout)
+        try:
+            conn.request("POST", self._target, body, headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._give(conn)
+        return resp.status, data
+
+    def _take(self, timeout):
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                conn = self._open(timeout=timeout)
+                if self._tunnel is not None:
+                    conn.set_tunnel(*self._tunnel)
+                return conn
+            if not _dropped(conn.sock):
+                return conn
+            conn.close()
+
+    def _give(self, conn) -> None:
+        with self._lock:
+            if len(self._idle) < MAX_IDLE:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        """Close the idle connections; the pool stays usable.  A pool that
+        is garbage-collected unclosed closes them too."""
+        with self._lock:
+            idle = self._idle.copy()
+            self._idle.clear()
+        _close_all(idle)
+
+
+def _close_all(conns: list) -> None:
+    for conn in conns:
+        conn.close()
+
+
 def http_complete(
-    endpoint: AgentEndpoint, request: AgentRequest, session=None
+    endpoint: AgentEndpoint, request: AgentRequest, pool: ConnectionPool | None = None
 ) -> AgentResponse:
     """One chat completion with bounded retries.
 
     Transient failures (connection errors, timeouts, 429/5xx) retry with
     exponential backoff up to max_retries; total attempts never exceed
-    max_retries + 1.  Other HTTP statuses fail immediately, and so does a
-    body off the chat-completion schema (AgentProtocolError); a missing or
-    null ``usage`` counts 0 tokens.  A ``requests.Session`` as ``session``
-    keeps connections open across calls; ``None`` opens one per attempt.
-    ``requests`` is imported here, so a mock run never loads it.
+    max_retries + 1, and the response counts the attempts it took.  Other
+    HTTP statuses, 3xx included, fail immediately, and so does a body off
+    the chat-completion schema (AgentProtocolError); a missing or null
+    ``usage`` counts 0 tokens.  A ``pool`` made for ``endpoint.base_url``
+    keeps connections open across calls; ``None`` uses one for this call.
     """
-    import requests
+    if pool is None:
+        with contextlib.closing(ConnectionPool(endpoint.base_url)) as own:
+            return http_complete(endpoint, request, own)
+    from http.client import HTTPException
 
-    if session is None:
-        session = requests
     payload = {
         "model": endpoint.model_id,
         "messages": [{"role": r, "content": c} for r, c in request.messages],
         "temperature": request.temperature,
         "max_tokens": request.max_tokens,
     }
+    data = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(AUTH_ENV_VAR, "")
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    url = endpoint.base_url.rstrip("/") + "/chat/completions"
 
     last_error: AgentError | None = None
     for attempt in range(endpoint.max_retries + 1):
@@ -179,29 +298,23 @@ def http_complete(
             time.sleep(endpoint.backoff * (2 ** (attempt - 1)))
         start = time.monotonic()
         try:
-            resp = session.post(
-                url, json=payload, headers=headers, timeout=endpoint.timeout
-            )
-        except requests.Timeout:
+            status, raw = pool.post(data, headers, endpoint.timeout)
+        except TimeoutError:
             last_error = AgentTimeoutError(
                 f"timed out after {endpoint.timeout}s (attempt {attempt + 1})"
             )
             continue
-        except requests.ConnectionError as exc:
+        except (OSError, HTTPException) as exc:
             last_error = AgentTransportError(f"connection failed: {exc}")
             continue
         latency = time.monotonic() - start
-        if resp.status_code in TRANSIENT_STATUSES:
-            last_error = AgentTransportError(
-                f"transient status {resp.status_code}", status=resp.status_code
-            )
+        if status in TRANSIENT_STATUSES:
+            last_error = AgentTransportError(f"transient status {status}", status=status)
             continue
-        if resp.status_code != 200:
-            raise AgentTransportError(
-                f"terminal status {resp.status_code}", status=resp.status_code
-            )
+        if status != 200:
+            raise AgentTransportError(f"terminal status {status}", status=status)
         try:
-            body = resp.json()
+            body = json.loads(raw)
             text = body["choices"][0]["message"]["content"]
             usage = body.get("usage") or {}
             tokens = [usage.get(key, 0) for key in ("prompt_tokens", "completion_tokens")]
@@ -212,31 +325,30 @@ def http_complete(
                 f"malformed completion body: {type(text).__name__} content, "
                 f"token counts {tokens}"
             )
-        return AgentResponse(text, latency, *tokens)
+        return AgentResponse(text, latency, *tokens, attempts=attempt + 1)
     raise last_error if last_error is not None else AgentTransportError("no attempts")
-
-
-def _new_session() -> requests.Session:
-    import requests
-
-    return requests.Session()
 
 
 @dataclass
 class HttpAgentBackend:
     """Routes committee calls to a chat-completion endpoint.
 
-    All calls share one ``requests.Session``, so they reuse its connections.
+    All calls share one ``ConnectionPool``, so they reuse its connections;
+    ``close()`` closes the idle ones.
     """
 
     endpoint: AgentEndpoint
-    session: requests.Session = field(
-        default_factory=_new_session, repr=False, compare=False
-    )
+    pool: ConnectionPool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.pool = ConnectionPool(self.endpoint.base_url)
 
     def respond(self, agent_id: int, request: AgentRequest) -> AgentResponse:
         try:
-            return http_complete(self.endpoint, request, self.session)
+            return http_complete(self.endpoint, request, self.pool)
         except AgentTransportError as exc:
             exc.agent_id = agent_id
             raise
+
+    def close(self) -> None:
+        self.pool.close()

@@ -175,8 +175,9 @@ class SweepTable:
         return lines
 
 
-# Worker threads per committee round.  requests keeps 10 connections per
-# host in a Session's pool; more workers would open connections it drops.
+# Worker threads per committee round.  An HTTP backend's pool keeps
+# agents.MAX_IDLE idle connections; more workers would open connections it
+# closes after one call.
 ROUND_WORKERS = 10
 
 
