@@ -298,7 +298,9 @@ def _ddim_into(out, z, eps, abar: float, abar_prev: float) -> None:
 
 def _ddpm_chain(z, target, sched: VarianceSchedule, gen) -> None:
     """Guided DDPM updates T .. 1 on the float64 array z, in place; step t
-    adds the next field of ``gen``'s stream."""
+    adds the next field of ``gen``'s stream.  Step 1's sigma is exactly 0
+    (abar(0) := 1), so it draws nothing: its 0 * noise would change no bit
+    but the sign of an exact -0.0, and no later step reads the stream."""
     flat, target = z.reshape(-1), target.reshape(-1)
     eps, noise = _scratch(flat.size)
     tiles = _tiles(flat.size)
@@ -314,7 +316,8 @@ def _ddpm_chain(z, target, sched: VarianceSchedule, gen) -> None:
             np.multiply(e, beta, out=e)
             np.subtract(zt, e, out=zt)
             np.divide(zt, keep, out=zt)
-            np.add(zt, _noise_into(noise[:n], gen, sigma), out=zt)
+            if t > 1:
+                np.add(zt, _noise_into(noise[:n], gen, sigma), out=zt)
 
 
 def _blend_chain(z, target, sched: VarianceSchedule, gen, alpha: float) -> None:
@@ -353,7 +356,7 @@ def base_sample(
     ``seed``: the toy's x0 estimate is the target at every step, and the
     last DDIM step returns that estimate.  DDPM runs its chain from the
     seed's latent and adds step t's noise from the next field of the
-    (seed, 1) stream.
+    (seed, 1) stream, for t = T .. 2: the last step adds none.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")

@@ -1,20 +1,23 @@
 """Core latent tensor type, seeded Gaussian sampling, and serialization.
 
-Latents are C x H x W float32 arrays.  Randomness uses the Philox
-counter-based generator keyed by the caller's 64-bit seed; Gaussian draws
-go through the inverse normal CDF applied to 53-bit uniforms so that the
-stream can be reproduced bit-exactly in any language with the same
-primitives.
+Latents are C x H x W float32 arrays.  Randomness uses the Philox4x64
+counter-based generator keyed by (seed, stream).  A Gaussian draw is
+numpy's 256-layer float64 ziggurat (``Generator.standard_normal``, after
+Marsaglia & Tsang) over the generator's 64-bit words: most draws read one
+word and take a table lookup and a multiply, and a rejected candidate reads
+more words.  Every draw is finite whatever the words: the tail takes the
+log of a uniform in [0, 1).
+
+NEP 19 lets a numpy release change a ``Generator`` distribution, and with
+it every drawn bit.  ``tests/test_latents.py`` pins the first draws of one
+stream as literals, so such a change fails that one named test.
 
 A stream is a sequence, not a set of blocks: Philox keeps the unread words
-of its 4-word block between calls, so successive ``_fill_gaussians`` calls
-of any sizes concatenate to one ``_gaussian_stream`` draw.  Callers may
-draw a field tile by tile, with any tile size, and get the same bits as one
-draw of the whole field.
-
-Only the Gaussian draws need scipy (``ndtri``), and only the DDPM and blend
-chains draw, so scipy is imported on the first draw: a DDIM run never loads
-it.
+of its 4-word block between calls, and the ziggurat fills ``out`` one value
+at a time from those words, so successive ``_fill_gaussians`` calls of any
+sizes concatenate to one ``_gaussian_stream`` draw.  Callers may draw a
+field tile by tile, with any tile size, and get the same bits as one draw
+of the whole field.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class TruncatedStreamError(LatentError):
 
 class DimensionOverflowError(LatentError):
     """Serialized header declares dimensions outside the supported range."""
+
+
+class TrailingBytesError(LatentError):
+    """Serialized stream holds bytes after the declared payload."""
 
 
 def _check_dims(channels: int, height: int, width: int, error=DimensionBoundsError):
@@ -123,33 +130,28 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
 
 
 def ndtri(x, out=None):
-    """scipy.special.ndtri, the inverse normal CDF; scipy loads on the first call."""
+    """scipy.special.ndtri, the inverse normal CDF; scipy loads on the first call.
+
+    Nothing in the package calls it: the draws are numpy's ziggurat.  It
+    stays only because perfbench's ``layers.WRAPPED`` binds it by name
+    (``tests/test_perfbench_guard.py`` checks that it exists); it goes when
+    the benchmark's probes point at the draws that run.
+    """
     from scipy.special import ndtri as scipy_ndtri
 
     return scipy_ndtri(x, out=out)
 
 
 def _fill_gaussians(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Write the next ``out.size`` words of ``gen`` into ``out`` as N(0, 1) draws.
-
-    Each 64-bit word is reduced to a 53-bit integer k and mapped to the
-    open-interval uniform u = (k + 0.5) * 2**-53, then through the inverse
-    normal CDF, in place in the float64 array ``out``.  ``ndtri`` is read
-    from the module at each call, so a wrapper set on ``latents.ndtri`` sees
-    every draw.
-    """
-    words = gen.integers(0, 2**64, size=out.shape, dtype=np.uint64)
-    words >>= np.uint64(11)
-    np.add(words, 0.5, out=out)
-    out *= 2.0**-53
-    ndtri(out, out=out)
-    return out
+    """Write the next ``out.size`` N(0, 1) draws of ``gen`` into the float64
+    array ``out``, in place, by numpy's ziggurat."""
+    return gen.standard_normal(out=out)
 
 
 def _gaussian_stream(seed: int, count: int, stream: int = 0) -> np.ndarray:
     """The first ``count`` standard-normal draws of the (seed, stream) stream.
 
-    Philox4x64 keyed by (seed, stream), words mapped as in _fill_gaussians.
+    Philox4x64 keyed by (seed, stream), drawn as in _fill_gaussians.
     """
     return _fill_gaussians(_philox(seed, stream), np.empty(count))
 
@@ -179,7 +181,11 @@ def write_latent(field: LatentField, sink) -> None:
 
 
 def read_latent(source) -> LatentField:
-    """Parse a CRTFLAT1 stream from a binary file object or a path."""
+    """Parse a CRTFLAT1 stream from a binary file object or a path.
+
+    The stream must end with the declared payload: a file with bytes after
+    it is not the file its digest names.
+    """
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
             return read_latent(fh)
@@ -202,6 +208,8 @@ def read_latent(source) -> LatentField:
         raise TruncatedStreamError(
             f"expected {4 * n} payload bytes, got {len(payload)}"
         )
+    if source.read(1):
+        raise TrailingBytesError(f"bytes follow the {4 * n}-byte payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(channels, height, width)
     return LatentField(channels, height, width, values)
 

@@ -371,6 +371,19 @@ class TestRefine:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_refine_padded_latent_exit_1_no_out(self, tmp_path, cfg_file):
+        base_out = tmp_path / "base"
+        main(["generate", "--config", str(cfg_file), "--out", str(base_out)])
+        padded = tmp_path / "padded.crtf"
+        padded.write_bytes((base_out / "z_base.crtf").read_bytes() + b"junk")
+        out = tmp_path / "o"
+        code = main(
+            ["refine", "--config", str(cfg_file), "--out", str(out),
+             "--latent", str(padded)]
+        )
+        assert code == EXIT_RUN_FAILURE
+        assert not out.exists()
+
     def test_stage_failure_writes_partial_record_exit_1(
         self, tmp_path, cfg_file, monkeypatch
     ):
@@ -408,6 +421,15 @@ class TestInspect:
         # only the tampered stage is reported
         assert text.count("MISMATCH") == 1
         assert text.count("verified") == 2
+
+    def test_padded_latent_exit_1(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        main(["generate", "--config", str(cfg_file), "--out", str(out)])
+        target = out / "z_ref.crtf"
+        target.write_bytes(target.read_bytes() + b"junk")
+        code = main(["inspect", str(out / "record.jsonl")])
+        assert code == EXIT_RUN_FAILURE
+        assert "bytes follow the" in capsys.readouterr().err
 
     def test_failed_record_reports_stage_exit_0(self, tmp_path, capsys):
         from test_pipeline import FailingBackend
@@ -489,9 +511,9 @@ def probe_scipy(runs):
     return json.loads(fresh_interpreter(SCIPY_PROBE, json.dumps(runs)).splitlines()[-1])
 
 
-class TestScipyLoadsOnTheFirstDraw:
-    """scipy serves only the Gaussian draws (``latents.ndtri``), and only
-    the DDPM and blend chains draw, so a DDIM run never loads it."""
+class TestNoRunImportsScipy:
+    """The Gaussian draws are numpy's ziggurat, so no run loads scipy,
+    under either sampler or refine mode."""
 
     def test_ddim_runs_and_sweeps_never_import_scipy(self, tmp_path, cfg_file):
         cfg, out = str(cfg_file), str(tmp_path)
@@ -505,13 +527,19 @@ class TestScipyLoadsOnTheFirstDraw:
         ]
         assert probe_scipy(runs) == {"codes": [EXIT_OK] * len(runs), "scipy": False}
 
-    def test_ddpm_run_imports_scipy_and_keeps_its_pins(self, tmp_path, cfg_file):
+    def test_ddpm_runs_never_import_scipy_and_keep_their_pins(self, tmp_path):
         from test_golden import GOLDEN
 
-        cfg_file.write_text("prompt = aurora\nseed = 3\nsampler = ddpm\n", encoding="utf-8")
-        out = tmp_path / "gen"
-        runs = [["generate", "--config", str(cfg_file), "--out", str(out)]]
-        assert probe_scipy(runs) == {"codes": [EXIT_OK], "scipy": True}
-        digests = read_record(out)[0]["digests"]
-        got = tuple(digests[name] for name in ("z_base", "z_ref", "z_fused"))
-        assert got == GOLDEN[(3, "ddpm", "img2img")]
+        runs = []
+        for mode in ("img2img", "blend"):
+            cfg = tmp_path / f"{mode}.cfg"
+            cfg.write_text(
+                f"prompt = aurora\nseed = 3\nsampler = ddpm\nrefine_mode = {mode}\n",
+                encoding="utf-8",
+            )
+            runs.append(["generate", "--config", str(cfg), "--out", str(tmp_path / mode)])
+        assert probe_scipy(runs) == {"codes": [EXIT_OK, EXIT_OK], "scipy": False}
+        for mode in ("img2img", "blend"):
+            digests = read_record(tmp_path / mode)[0]["digests"]
+            got = tuple(digests[name] for name in ("z_base", "z_ref", "z_fused"))
+            assert got == GOLDEN[(3, "ddpm", mode)]

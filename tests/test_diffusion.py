@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from critifusion import basis, diffusion, latents
+from critifusion import basis, diffusion
 from critifusion.basis import basis_plane, pattern_coefficients
 from critifusion.diffusion import (
     Conditioning,
@@ -42,7 +42,7 @@ from critifusion.diffusion import (
     toy_denoiser,
 )
 from critifusion.cadr import CadrConfig, CadrParams
-from critifusion.latents import LatentField, _gaussian_stream, ndtri, sample_gaussian_latent
+from critifusion.latents import LatentField, _gaussian_stream, sample_gaussian_latent
 
 
 def const_field(value, c=1, h=2, w=2):
@@ -667,39 +667,33 @@ class TestTiledChains:
         assert_matches_reference(out, ref, mode)
 
 
-class TestNdtriSeesEveryDraw:
-    """Every chain draw goes through ``latents.ndtri``, looked up when it is
-    called, so a wrapper set there (perfbench's ``--trace 1`` sets one)
-    sees each draw and changes no bit."""
+class TestChainDraws:
+    """A chain draws one field per step that adds noise, through
+    ``diffusion._fill_gaussians``; the seed latent is drawn apart."""
 
-    def test_wrapper_sees_every_chain_draw(self, monkeypatch):
+    def test_ddpm_skips_the_last_step_and_blend_draws_every_step(self, monkeypatch):
         dims = (4, 130, 130)  # several tiles, the last one short
         s = make_schedule(6, 1e-3, 0.05)
         cond = conditioning("prompt", 3.0)
         params = CadrParams(lam=0.5, g=4.0, T_prime=5, rho=0.7)
+        plain_base = base_sample(cond, s, "ddpm", 4, *dims)
+        plain_ref = img2img_refine(plain_base, cond, params, s, 2, mode="blend")
 
-        def runs():
-            z_base = base_sample(cond, s, "ddpm", 4, *dims)
-            return [
-                z_base,
-                img2img_refine(z_base, cond, params, s, 2, mode="blend"),
-                base_sample(cond, s, "ddim", 4, *dims),
-                img2img_refine(z_base, cond, params, s, 2, mode="img2img"),
-            ]
+        draws, fill = [], diffusion._fill_gaussians
 
-        plain = runs()
-        draws, original = [], latents.ndtri
+        def counting(gen, out):
+            draws.append(out.size)
+            return fill(gen, out)
 
-        def counting(x, out=None):
-            draws.append(x.size)
-            return original(x, out=out)
-
-        monkeypatch.setattr(latents, "ndtri", counting)
-        traced = runs()
-        assert [f.values.tobytes() for f in traced] == [f.values.tobytes() for f in plain]
-        # The seed latent and one field per step of each chain; DDIM and
-        # img2img draw nothing.
-        assert sum(draws) == (1 + s.steps + params.T_prime) * math.prod(dims)
+        monkeypatch.setattr(diffusion, "_fill_gaussians", counting)
+        z_base = base_sample(cond, s, "ddpm", 4, *dims)
+        # sigma_1 = 0, so step 1 draws nothing.
+        assert sum(draws) == (s.steps - 1) * math.prod(dims)
+        draws.clear()
+        z_ref = img2img_refine(z_base, cond, params, s, 2, mode="blend")
+        assert sum(draws) == params.T_prime * math.prod(dims)
+        assert z_base.values.tobytes() == plain_base.values.tobytes()
+        assert z_ref.values.tobytes() == plain_ref.values.tobytes()
 
 
 class TestImg2ImgClosedForm:
@@ -735,9 +729,10 @@ class TestImg2ImgClosedForm:
 
 
 def peak_bytes(fn):
-    """Peak traced allocation of ``fn()``.  scipy is loaded first, so a first
-    Gaussian draw does not count its import as field memory."""
-    ndtri(np.zeros(1))
+    """Peak traced allocation of ``fn()``.  numpy imports ``numpy.random``
+    on first use, so one draw is made first and a first Gaussian draw does
+    not count that import as field memory."""
+    _gaussian_stream(0, 1)
     tracemalloc.start()
     try:
         fn()
@@ -749,8 +744,9 @@ def peak_bytes(fn):
 class TestBoundedMemory:
     """Peak memory is a few fields, whatever the step count.
 
-    Both chains peak at 2.89 fields here: the latent, the target, the
-    result's copy and the tiles' buffers.  The limit adds about half a field.
+    Both chains peak at 2.76 fields here: the latent, the target, the
+    result's copy and the tiles' buffers.  The limit adds about three
+    quarters of a field.
     """
 
     C, H, W = 4, 128, 128

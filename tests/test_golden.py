@@ -40,18 +40,18 @@ GOLDEN = {
     ),
     (0, "ddim", "blend"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
-        "1cf273916a74cb16e0fca2cf328f5913d9f8c9d481e71e625af675b3e684b902",
-        "0411826bfdf1f90462a1e580a86f6a7eec5e618c16bcf5bb0d712d6d7dc6e5ed",
+        "56bb204088abcaf4ade5909c8f40ffb62c91f906b08f0ab1f1f2da530fd06712",
+        "b8c7080490ef0ae7fd2cb4996740bed94adbbc4d1fd050dde96ba470978b78b3",
     ),
     (0, "ddpm", "img2img"): (
-        "078c7765cc34f0396f3bcda636e2e337e2eeeb9c9bba3d44cca05478e739d70b",
+        "9fd90268b45a86edc48616b89cc9a8fd68f3c5b64a9d8fa88967ec6b6a8019a5",
         "7dd6004b19d428284f7f9107d05a3b09190db4ed62a851b3feb715931a2de584",
-        "11d9d31e2b1db92107844a6b91d177db6dd3952361068d541e22900083f6a764",
+        "66dce2171779c01f1159dd2729b93faca32a2c1cb10dffeb7db0ac3cb357cdc2",
     ),
     (0, "ddpm", "blend"): (
-        "078c7765cc34f0396f3bcda636e2e337e2eeeb9c9bba3d44cca05478e739d70b",
-        "7494a16224ef4308b0c60816f3cdf1163395e9aca81514e9110359e9cefd9d3c",
-        "c7f013b7a2788ed3b25dc6b6194ba70a4617e7a31748b11876ce850e452c846a",
+        "9fd90268b45a86edc48616b89cc9a8fd68f3c5b64a9d8fa88967ec6b6a8019a5",
+        "4ac487c01e0e22ab217e77bb05e12c827dcbb2572483a6de46247106aa4f3ca6",
+        "d86582fd2149ab345c9a86946040f5c00df2830b7ba3225d1f8f59d01944daab",
     ),
     (3, "ddim", "img2img"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
@@ -60,18 +60,18 @@ GOLDEN = {
     ),
     (3, "ddim", "blend"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
-        "dec8fb5d2477196563ddeef7545da8e822bcd3c4523da922d9b6544092cade7d",
-        "32f820496825506074c1dcca24fd73a4402bba3c31796bc971670389765df41a",
+        "11f0e85a8defd7e10287c771eb9d0b4d314d8d1fc43a55eebd5af678e51785e3",
+        "a0892cac3b6f362c15e3a241f5f77c14714022242ea7d284e2fd14c2c0c3fce1",
     ),
     (3, "ddpm", "img2img"): (
-        "029afe5aa8e7c892ab301272cfbbb696421b09dae5c6a7ad45318400c6bec346",
+        "3c0797a09e7faadb56eb717b3d440dfc795e1987356d8cec8694f18d348424fa",
         "7dd6004b19d428284f7f9107d05a3b09190db4ed62a851b3feb715931a2de584",
-        "39443ff93c335ce09b6f1980e30ca4beb1e4bcd0fb1bc5fea68414187ca398c4",
+        "ba677df0f02ef5a8b3f303ff87954639caf2be8b4aed8f61aaa96113d0d7c1de",
     ),
     (3, "ddpm", "blend"): (
-        "029afe5aa8e7c892ab301272cfbbb696421b09dae5c6a7ad45318400c6bec346",
-        "3a1a57d7988981fab2403117d1ccf670fc8fff6dc53fb55104f205a90de5868e",
-        "097a5779ba4db9fa6f96f6529613b5336431e07dd150ae320a03098b1b13cdb4",
+        "3c0797a09e7faadb56eb717b3d440dfc795e1987356d8cec8694f18d348424fa",
+        "eb11050c350fb3a8e73809507576154da55d0271ab411dfdb8b50d648e723910",
+        "3213f50c9858c2e0b000cf97fb2762e438b4c68faba261a8f715a7b33527b024",
     ),
 }
 
@@ -114,13 +114,13 @@ TABLES = {
         "9aa145b95518cfdc3ba4cb39e4cecfb358e2deed961d9f0b7530b1bc3d27e267"
     ),
     ("aurora", "ddpm", "sweep_k"): (
-        "67d241575814e450fd1dd757ba43f4acae4d385ff29208572f1d0d0c4620f284"
+        "613d71600111b0f34d51c12600333036135fadc3ffb76bd3ea36989cc82b0085"
     ),
     ("aurora", "ddpm", "ablate"): (
-        "e6602b312a0433c83c17c65770870cdf2024c21985daa35aea0325412b969296"
+        "171956f99818ebc2d794bf76561641c71cb0f114df94ff60ab93a1d312e62fbe"
     ),
     ("aurora", "ddpm", "sweep_ensemble"): (
-        "cf978873a73a949943ae9211e8fae925a6ddaa4739a20a81c3d21504d0aa0c1a"
+        "444013925d9576c683c3aab3f4f312795fe3565cf29ceb9d6155d034dc7a698a"
     ),
     ("aurora basalt", "ddim", "sweep_k"): (
         "0d2e48314880fd8ead3e5cfbde23d40dc32b6ddcb6e253ca514181db35f8ba61"
@@ -132,13 +132,13 @@ TABLES = {
         "3ce85588bfbba018c6673623915c98318c36e63494b500c0c9a59abde1c4ebe0"
     ),
     ("aurora basalt", "ddpm", "sweep_k"): (
-        "6d83cd92a0cdf5b6c64a4b68e7f58253b54a4c569b42438449605d0cc979bd07"
+        "7ba20330c52b97f147c2d9ca815fdd267d9b88b336f3c5ad2cf92352225b206c"
     ),
     ("aurora basalt", "ddpm", "ablate"): (
-        "98fa2d9ab93d3e97fbbe6adaf187e893f911ea5f7be000064ca67b41226660f4"
+        "c528902f0df1134c3eb7d14e4e81d8d2d119b0afdbd3b373f9c92871d744506b"
     ),
     ("aurora basalt", "ddpm", "sweep_ensemble"): (
-        "34547848802ea1cdf2353c0008e762661a044c502530bc625bd96c44e04f768b"
+        "5f173f329fd8fcf650f9f838d359847627f835edd754122cf9a99b55e0e2152e"
     ),
 }
 
