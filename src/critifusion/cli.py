@@ -172,7 +172,12 @@ def inspect(record_path: str) -> int:
             if not sibling.is_file():
                 print(f"  digest {name}: {digest} (no latent file)")
                 continue
-            actual = latent_digest(read_latent(sibling))
+            try:
+                actual = latent_digest(read_latent(sibling))
+            except LatentError as exc:
+                print(f"  digest UNREADABLE at stage output {name}: {sibling}: {exc}")
+                exit_code = EXIT_RUN_FAILURE
+                continue
             if actual == digest:
                 print(f"  digest {name}: verified")
             else:

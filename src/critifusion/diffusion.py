@@ -5,12 +5,18 @@ Conventions: a schedule with T steps stores beta[0..T-1].  Chain steps are
 abar(0) := 1, which makes the terminal DDIM step return the x0 estimate
 and gives the terminal DDPM step zero posterior variance.  forward_noise
 and toy_denoiser index alpha_bar directly (0-based t in [0, T)).
+
+The samplers return their chains in closed form.  DDIM and the img2img
+pass end on the target.  The DDPM chain and the blend pass are Gaussian:
+each step is affine in z and in the target, plus scaled noise, so a whole
+chain is one scaled draw.  The step functions are the chains' oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,8 +24,6 @@ from .basis import N_BASIS, synthesize_target
 from .latents import (
     LatentField,
     _check_dims,
-    _fill_gaussians,
-    _philox,
     sample_gaussian_latent,
 )
 from .latents import _gaussian_stream  # noqa: F401  perfbench's probes patch it
@@ -30,9 +34,6 @@ REFINE_MODES = ("img2img", "blend")
 # The blend corrective pass draws its noise from the (seed + offset, 0) stream.
 CORRECTIVE_SEED_OFFSET = 999
 MAX_STEPS = 1000  # the longest schedule, for sampling and for the corrective T'
-# The chains walk the flat latent in tiles of this many values, so that their
-# step buffers and noise draws stay in cache and cost no full field each.
-TILE = 1 << 14
 
 
 class ScheduleError(ValueError):
@@ -237,108 +238,51 @@ def ddpm_step(
     return z_t.with_values(out)
 
 
-# The DDPM and blend chains below run the step functions' arithmetic on
-# plain float64 arrays, in the same floating-point order, so their bits
-# equal a chain of toy_denoiser (at guidance scale 0) -> ddim_step /
-# ddpm_step calls: CFG cancels in the toy, so neither w nor CADR's g
-# reaches their bits.  Only the result is wrapped (and checked finite) as a
-# LatentField: every update divides by a positive scalar, never by an
-# array, so a non-finite intermediate stays non-finite until the end.
-#
-# Every update is elementwise, so the chains run tile by tile over the flat
-# latent.  Each runs step outer, tile inner: each step reads its tiles'
-# noise in stream order, which is the order of one whole-field draw.  A
-# pure DDIM chain needs no code: it ends on the target (base_sample).
+# Under the toy's guided prediction (z - sqrt(abar) * T) / sqrt(1 - abar),
+# in which CFG cancels, a DDPM or blend step is z <- a * z + b * T + sigma * n
+# for scalars (a, b, sigma^2) and a fresh standard draw n.
 
 
-def _abar_pair(sched: VarianceSchedule, t: int) -> tuple[float, float]:
-    """(abar(t), abar(t - 1)), with toy_denoiser's check."""
-    abar = sched.abar(t)
-    if abar >= 1.0:
-        raise DegenerateStepError("alpha_bar == 1: nothing to predict")
-    return abar, sched.abar(t - 1)
+def _ddpm_coefficients(beta: float, abar: float, abar_prev: float):
+    """(a, b, sigma^2) of ddpm_step under the guided prediction."""
+    keep = math.sqrt(1.0 - beta)
+    a = (1.0 - beta / math.sqrt(1.0 - abar)) / keep
+    b = beta * math.sqrt(abar) / (math.sqrt(1.0 - abar) * keep)
+    return a, b, beta * (1.0 - abar_prev) / (1.0 - abar)
 
 
-def _tiles(size: int) -> list[slice]:
-    """Slices of [0, size), TILE values each but the last."""
-    return [slice(lo, min(lo + TILE, size)) for lo in range(0, size, TILE)]
-
-
-def _scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two float64 tile buffers, reused by every tile of a chain."""
-    n = min(TILE, size)
-    return np.empty(n), np.empty(n)
-
-
-def _noise_into(out, gen, scale: float):
-    """out <- scale * the next out.size draws of gen, each first rounded to
-    float32 like every drawn latent."""
-    _fill_gaussians(gen, out)
-    return np.multiply(out.astype(np.float32), scale, out=out, dtype=np.float64)
-
-
-def _eps_into(eps, z, target, abar: float) -> None:
-    """eps <- (z - sqrt(abar) * target) / sqrt(1 - abar), CFG's closed form."""
-    np.multiply(target, np.sqrt(abar), out=eps)
-    np.subtract(z, eps, out=eps)
-    np.divide(eps, np.sqrt(1.0 - abar), out=eps)
-
-
-def _ddim_into(out, z, eps, abar: float, abar_prev: float) -> None:
-    """out <- ddim_step(z, eps); ``out`` must not be ``z``; eps is clobbered."""
+def _blend_coefficients(alpha: float, beta: float, abar: float, abar_prev: float):
+    """(a, b, sigma^2) of (1 - alpha) * z + alpha * ddim_step(z) + sqrt(beta) * n
+    under the guided prediction.  x0 is the target, so the DDIM step is
+    p * z + (sqrt(abar_prev) - p * sqrt(abar)) * T."""
     if abar <= 0.0:
         raise SingularStepError("alpha_bar == 0: x0 not recoverable")
-    np.multiply(eps, np.sqrt(1.0 - abar), out=out)
-    np.subtract(z, out, out=out)
-    np.divide(out, np.sqrt(abar), out=out)
-    np.multiply(out, np.sqrt(abar_prev), out=out)
-    np.multiply(eps, np.sqrt(1.0 - abar_prev), out=eps)
-    np.add(out, eps, out=out)
+    p = math.sqrt(1.0 - abar_prev) / math.sqrt(1.0 - abar)
+    b = alpha * (math.sqrt(abar_prev) - p * math.sqrt(abar))
+    return 1.0 - alpha + alpha * p, b, beta
 
 
-def _ddpm_chain(z, target, sched: VarianceSchedule, gen) -> None:
-    """Guided DDPM updates T .. 1 on the float64 array z, in place; step t
-    adds the next field of ``gen``'s stream.  Step 1's sigma is exactly 0
-    (abar(0) := 1), so it draws nothing: its 0 * noise would change no bit
-    but the sign of an exact -0.0, and no later step reads the stream."""
-    flat, target = z.reshape(-1), target.reshape(-1)
-    eps, noise = _scratch(flat.size)
-    tiles = _tiles(flat.size)
+def _gaussian_chain(sched: VarianceSchedule, step) -> tuple[float, float, float]:
+    """(A, c, v) of the chain t = T .. 1 of ``step(beta, abar, abar_prev)``
+    updates: z_0 = A * z_T + c * T + sqrt(v) * n for one standard draw n."""
+    A, c, v = 1.0, 0.0, 0.0
     for t in range(sched.steps, 0, -1):
-        abar, abar_prev = _abar_pair(sched, t)
-        beta = float(sched.beta[t - 1])
-        keep = np.sqrt(1.0 - beta)
-        sigma = np.sqrt(beta * (1.0 - abar_prev) / (1.0 - abar))
-        for tile in tiles:
-            n = tile.stop - tile.start
-            zt, e = flat[tile], eps[:n]
-            _eps_into(e, zt, target[tile], abar)
-            np.multiply(e, beta, out=e)
-            np.subtract(zt, e, out=zt)
-            np.divide(zt, keep, out=zt)
-            if t > 1:
-                np.add(zt, _noise_into(noise[:n], gen, sigma), out=zt)
+        abar = sched.abar(t)
+        if abar >= 1.0:
+            raise DegenerateStepError("alpha_bar == 1: nothing to predict")
+        a, b, var = step(float(sched.beta[t - 1]), abar, sched.abar(t - 1))
+        A, c, v = a * A, a * c + b, a * a * v + var
+    return A, c, v
 
 
-def _blend_chain(z, target, sched: VarianceSchedule, gen, alpha: float) -> None:
-    """Blend updates (1 - alpha) * z + alpha * ddim(z) + sqrt(beta_t) * noise,
-    T .. 1, on the float64 array z, in place; step t's noise is the next
-    field of ``gen``'s stream."""
-    flat, target = z.reshape(-1), target.reshape(-1)
-    eps, out = _scratch(flat.size)
-    tiles = _tiles(flat.size)
-    for t in range(sched.steps, 0, -1):
-        abar, abar_prev = _abar_pair(sched, t)
-        sd = np.sqrt(float(sched.beta[t - 1]))
-        for tile in tiles:
-            n = tile.stop - tile.start
-            zt, e, o = flat[tile], eps[:n], out[:n]
-            _eps_into(e, zt, target[tile], abar)
-            _ddim_into(o, zt, e, abar, abar_prev)
-            np.multiply(zt, 1.0 - alpha, out=zt)
-            np.multiply(o, alpha, out=o)
-            np.add(zt, o, out=zt)
-            np.add(zt, _noise_into(o, gen, sd), out=zt)
+def _affine(cond: Conditioning, c: float, *terms) -> np.ndarray:
+    """c * cond's target plus scale * field for each (scale, field) of
+    ``terms``, summed in place in that order: three fields at the peak."""
+    out = synthesize_target(cond.embedding, *terms[0][1].shape)
+    out *= c
+    for scale, field in terms:
+        out += scale * field.values
+    return out
 
 
 def base_sample(
@@ -354,19 +298,18 @@ def base_sample(
 
     DDIM returns the target in closed form and reads neither ``sched`` nor
     ``seed``: the toy's x0 estimate is the target at every step, and the
-    last DDIM step returns that estimate.  DDPM runs its chain from the
-    seed's latent and adds step t's noise from the next field of the
-    (seed, 1) stream, for t = T .. 2: the last step adds none.
+    last DDIM step returns that estimate.  DDPM returns its chain in closed
+    form: from z_T ~ N(0, I) the chain ends on A * z_T + c * T + sqrt(v) * n,
+    which is c * T + sqrt(A^2 + v) * n for one N(0, I) latent n, the seed's
+    latent (the (seed, 0) stream).
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if sampler == "ddim":
         return target_field(cond, channels, height, width)
-    z = sample_gaussian_latent(channels, height, width, seed).values.copy()
-    target = synthesize_target(cond.embedding, *z.shape)
-    _ddpm_chain(z, target, sched, _philox(seed, 1))
-    del target  # freed before the result is copied
-    return LatentField(channels, height, width, z)
+    noise = sample_gaussian_latent(channels, height, width, seed)
+    A, c, v = _gaussian_chain(sched, _ddpm_coefficients)
+    return noise.with_values(_affine(cond, c, (math.sqrt(A * A + v), noise)))
 
 
 def strength_to_start(k: int, T_prime: int) -> StrengthMap:
@@ -405,9 +348,9 @@ def img2img_refine(
     values.  In ``blend`` mode the update is the per-step convex
     combination (1 - a) * z + a * ddim_step(z) + sqrt(beta_t) * eps with
     a = lambda, run over all T' steps from z_base under the guided
-    prediction in closed form, in which g cancels; the i-th step's eps is
-    the i-th field of the Philox stream (seed + CORRECTIVE_SEED_OFFSET, 0),
-    drawn when that step runs.
+    prediction, in which g cancels.  That chain is returned in closed form,
+    A * z_base + c * T + sqrt(v) * n, with n the latent of the seed
+    seed + CORRECTIVE_SEED_OFFSET (its (seed + offset, 0) stream).
     """
     T_prime = int(params.T_prime)
     if T_prime == 0:
@@ -418,9 +361,6 @@ def img2img_refine(
     sub = make_schedule(T_prime, sched.beta_start, sched.beta_end, "T'")
     if mode == "img2img":
         return target_field(cond, *z_base.shape)
-    z = z_base.values.copy()
-    target = synthesize_target(cond.embedding, *z.shape)
-    gen = _philox(seed + CORRECTIVE_SEED_OFFSET, 0)
-    _blend_chain(z, target, sub, gen, float(params.lam))
-    del target  # freed before the result is copied
-    return z_base.with_values(z)
+    noise = sample_gaussian_latent(*z_base.shape, seed + CORRECTIVE_SEED_OFFSET)
+    A, c, v = _gaussian_chain(sub, partial(_blend_coefficients, float(params.lam)))
+    return z_base.with_values(_affine(cond, c, (A, z_base), (math.sqrt(v), noise)))

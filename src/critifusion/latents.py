@@ -11,13 +11,6 @@ log of a uniform in [0, 1).
 NEP 19 lets a numpy release change a ``Generator`` distribution, and with
 it every drawn bit.  ``tests/test_latents.py`` pins the first draws of one
 stream as literals, so such a change fails that one named test.
-
-A stream is a sequence, not a set of blocks: Philox keeps the unread words
-of its 4-word block between calls, and the ziggurat fills ``out`` one value
-at a time from those words, so successive ``_fill_gaussians`` calls of any
-sizes concatenate to one ``_gaussian_stream`` draw.  Callers may draw a
-field tile by tile, with any tile size, and get the same bits as one draw
-of the whole field.
 """
 
 from __future__ import annotations
@@ -95,14 +88,16 @@ class LatentField:
 
     def __post_init__(self):
         _check_dims(self.channels, self.height, self.width)
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.shape != (self.channels, self.height, self.width):
+        values = np.asarray(self.values)
+        if values.shape != (self.channels, self.height, self.width):
             raise LatentError(
-                f"values shape {arr.shape} does not match "
+                f"values shape {values.shape} does not match "
                 f"({self.channels}, {self.height}, {self.width})"
             )
-        if not np.all(np.isfinite(arr)):
+        # Checked before the cast: widening a float32 signalling NaN warns.
+        if not np.isfinite(values).all():
             raise LatentError("latent values must be finite")
+        arr = values.astype(np.float64)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -142,18 +137,12 @@ def ndtri(x, out=None):
     return scipy_ndtri(x, out=out)
 
 
-def _fill_gaussians(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Write the next ``out.size`` N(0, 1) draws of ``gen`` into the float64
-    array ``out``, in place, by numpy's ziggurat."""
-    return gen.standard_normal(out=out)
-
-
 def _gaussian_stream(seed: int, count: int, stream: int = 0) -> np.ndarray:
     """The first ``count`` standard-normal draws of the (seed, stream) stream.
 
-    Philox4x64 keyed by (seed, stream), drawn as in _fill_gaussians.
+    Philox4x64 keyed by (seed, stream), drawn by numpy's ziggurat.
     """
-    return _fill_gaussians(_philox(seed, stream), np.empty(count))
+    return _philox(seed, stream).standard_normal(count)
 
 
 def sample_gaussian_latent(

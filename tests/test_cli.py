@@ -429,7 +429,23 @@ class TestInspect:
         target.write_bytes(target.read_bytes() + b"junk")
         code = main(["inspect", str(out / "record.jsonl")])
         assert code == EXIT_RUN_FAILURE
-        assert "bytes follow the" in capsys.readouterr().err
+        text = capsys.readouterr().out
+        unreadable = f"digest UNREADABLE at stage output z_ref: {target}: bytes follow"
+        assert unreadable in text
+        assert "digest z_base: verified" in text
+        assert "digest z_fused: verified" in text
+
+    def test_unreadable_first_sibling_checks_the_rest(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        main(["generate", "--config", str(cfg_file), "--out", str(out)])
+        target = out / "z_base.crtf"
+        target.write_bytes(target.read_bytes()[:-1])
+        code = main(["inspect", str(out / "record.jsonl")])
+        assert code == EXIT_RUN_FAILURE
+        text = capsys.readouterr().out
+        assert "digest UNREADABLE at stage output z_base" in text
+        assert text.count("UNREADABLE") == 1
+        assert text.count("verified") == 2
 
     def test_failed_record_reports_stage_exit_0(self, tmp_path, capsys):
         from test_pipeline import FailingBackend

@@ -40,18 +40,18 @@ GOLDEN = {
     ),
     (0, "ddim", "blend"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
-        "56bb204088abcaf4ade5909c8f40ffb62c91f906b08f0ab1f1f2da530fd06712",
-        "b8c7080490ef0ae7fd2cb4996740bed94adbbc4d1fd050dde96ba470978b78b3",
+        "153412daa230fd725ee7080801da76255cae4e25f550f54b14b30213027e0f58",
+        "c43e1dd722c3d240f484efa1f7142a02c8a07f6a00660fc90a07ef4af135527c",
     ),
     (0, "ddpm", "img2img"): (
-        "9fd90268b45a86edc48616b89cc9a8fd68f3c5b64a9d8fa88967ec6b6a8019a5",
+        "6344d1d13c8e1db40b1ef383071bb00bed9caec7eba8745a398559be3ed1ff9d",
         "7dd6004b19d428284f7f9107d05a3b09190db4ed62a851b3feb715931a2de584",
-        "66dce2171779c01f1159dd2729b93faca32a2c1cb10dffeb7db0ac3cb357cdc2",
+        "d785dbc2c2a053df6f0e3e8108143a72d22fced7e9976ed476251b32130c207e",
     ),
     (0, "ddpm", "blend"): (
-        "9fd90268b45a86edc48616b89cc9a8fd68f3c5b64a9d8fa88967ec6b6a8019a5",
-        "4ac487c01e0e22ab217e77bb05e12c827dcbb2572483a6de46247106aa4f3ca6",
-        "d86582fd2149ab345c9a86946040f5c00df2830b7ba3225d1f8f59d01944daab",
+        "6344d1d13c8e1db40b1ef383071bb00bed9caec7eba8745a398559be3ed1ff9d",
+        "e9ad05dda90db19f4a7a07f56503a603dae5ad3db160d4f22937703a2a646b7a",
+        "74a97203fe9dd8d8f91b90842e77172d17faaffdf203f8e6514d842e8e87e52c",
     ),
     (3, "ddim", "img2img"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
@@ -60,18 +60,18 @@ GOLDEN = {
     ),
     (3, "ddim", "blend"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
-        "11f0e85a8defd7e10287c771eb9d0b4d314d8d1fc43a55eebd5af678e51785e3",
-        "a0892cac3b6f362c15e3a241f5f77c14714022242ea7d284e2fd14c2c0c3fce1",
+        "93a8aedacf2f780634a9c1faec1eb2113fbb0eee7a9fd0b8f753cc4a531ccacc",
+        "c6a0c345a5f09d2b673d51851741dd65b607bd3be9942d23c2e88d46c162620e",
     ),
     (3, "ddpm", "img2img"): (
-        "3c0797a09e7faadb56eb717b3d440dfc795e1987356d8cec8694f18d348424fa",
+        "2f2a915395f7d8aaaff28ddd8486a7e31e02ac4d8610260aaca1603b4ce41e71",
         "7dd6004b19d428284f7f9107d05a3b09190db4ed62a851b3feb715931a2de584",
-        "ba677df0f02ef5a8b3f303ff87954639caf2be8b4aed8f61aaa96113d0d7c1de",
+        "e546954b4ce05591d1ecd22cedb2a45550199691fae0e77e971b748755efbf4c",
     ),
     (3, "ddpm", "blend"): (
-        "3c0797a09e7faadb56eb717b3d440dfc795e1987356d8cec8694f18d348424fa",
-        "eb11050c350fb3a8e73809507576154da55d0271ab411dfdb8b50d648e723910",
-        "3213f50c9858c2e0b000cf97fb2762e438b4c68faba261a8f715a7b33527b024",
+        "2f2a915395f7d8aaaff28ddd8486a7e31e02ac4d8610260aaca1603b4ce41e71",
+        "bf653405c5d83e3f28fd6a991f3a94a98b997d0a284f6aaedfdd2dfd33881b7b",
+        "f44eda3876db56cd9b36accb6571a57b464065375c5e4797ecd0f4813b6ba685",
     ),
 }
 
@@ -114,13 +114,13 @@ TABLES = {
         "9aa145b95518cfdc3ba4cb39e4cecfb358e2deed961d9f0b7530b1bc3d27e267"
     ),
     ("aurora", "ddpm", "sweep_k"): (
-        "613d71600111b0f34d51c12600333036135fadc3ffb76bd3ea36989cc82b0085"
+        "ed4cdcbe274c4cfd6f4b9c3cacd1bd75cb9829f4e6c0ae02afab2ecbd41eafe4"
     ),
     ("aurora", "ddpm", "ablate"): (
-        "171956f99818ebc2d794bf76561641c71cb0f114df94ff60ab93a1d312e62fbe"
+        "80409ad1e4dda9fd2db1ff87074d12d1049292dbb0d9a8e5b3ce2b98d027eb62"
     ),
     ("aurora", "ddpm", "sweep_ensemble"): (
-        "444013925d9576c683c3aab3f4f312795fe3565cf29ceb9d6155d034dc7a698a"
+        "62c01536ddee61dc7f2277b866e3290620f6f1ffa58543f766276d66fce7a803"
     ),
     ("aurora basalt", "ddim", "sweep_k"): (
         "0d2e48314880fd8ead3e5cfbde23d40dc32b6ddcb6e253ca514181db35f8ba61"
@@ -132,13 +132,13 @@ TABLES = {
         "3ce85588bfbba018c6673623915c98318c36e63494b500c0c9a59abde1c4ebe0"
     ),
     ("aurora basalt", "ddpm", "sweep_k"): (
-        "7ba20330c52b97f147c2d9ca815fdd267d9b88b336f3c5ad2cf92352225b206c"
+        "e36d684de999ba91bb0c3912c8bf7d30cdf6a1a3b58dec433fe50c1748d8af38"
     ),
     ("aurora basalt", "ddpm", "ablate"): (
-        "c528902f0df1134c3eb7d14e4e81d8d2d119b0afdbd3b373f9c92871d744506b"
+        "7847d0e796df255b5f7aad2da824bb4bdd1880c75fa55a191589cd4b55dfd427"
     ),
     ("aurora basalt", "ddpm", "sweep_ensemble"): (
-        "5f173f329fd8fcf650f9f838d359847627f835edd754122cf9a99b55e0e2152e"
+        "6852075217c27814c51bdf75a806992c4c69f26e3c0a646ff9f0a0711e3c6d87"
     ),
 }
 
