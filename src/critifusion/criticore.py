@@ -258,36 +258,27 @@ def merge_topk(base: PromptBundle, clauses, k_edit: int) -> PromptBundle:
     scored.sort(key=lambda c: (c.score, c.clause_id))
     selected = scored[:k_edit]
 
-    entries = [
-        {"token": t, "salience": s, "appended": False}
-        for t, s in zip(base.tokens, base.salience)
+    entries = [(t, s, False) for t, s in zip(base.tokens, base.salience)]
+    entries += [
+        (token, 1.0 - clause.score, True) for clause in selected for token in clause.text
     ]
-    for clause in selected:
-        for token in clause.text:
-            entries.append(
-                {"token": token, "salience": 1.0 - clause.score, "appended": True}
-            )
 
-    # Phase 1: drop appended exact duplicates.
-    i = 0
-    while len(entries) > K and i < len(entries):
-        e = entries[i]
-        if e["appended"] and any(
-            other["token"] == e["token"] for other in entries[:i]
-        ):
-            entries.pop(i)
+    # Pass 1: in order, drop appended tokens that repeat an earlier token
+    # while over budget.  A dropped token leaves an earlier equal one kept.
+    excess = len(entries) - K
+    seen = set()
+    kept = []
+    for token, salience, appended in entries:
+        if excess > 0 and appended and token in seen:
+            excess -= 1
         else:
-            i += 1
-    # Phase 2: drop lowest-salience tokens until the budget holds.
-    while len(entries) > K:
-        victim = min(
-            range(len(entries)),
-            key=lambda idx: (entries[idx]["salience"], -idx),
-        )
-        entries.pop(victim)
+            kept.append((token, salience))
+        seen.add(token)
+    # Pass 2: drop the excess lowest-salience tokens, ties from the end.
+    # Dropping one changes no other's key or order, so one sort suffices.
+    if excess > 0:
+        order = sorted(range(len(kept)), key=lambda idx: (kept[idx][1], -idx))
+        victims = set(order[:excess])
+        kept = [e for idx, e in enumerate(kept) if idx not in victims]
 
-    return PromptBundle(
-        tuple(e["token"] for e in entries),
-        tuple(e["salience"] for e in entries),
-        K,
-    )
+    return PromptBundle(tuple(t for t, _ in kept), tuple(s for _, s in kept), K)

@@ -4,9 +4,9 @@ Only the public ``Spectrum`` API is DC-centered, with the zero frequency at
 (H//2, W//2).  Fusion keeps the low band of the base latent and the high
 band of the refined one.  It runs in the FFT's own order on rfft2's real
 half plane, under a mask built from two shifted 1-D profiles, so it builds
-no H x W mask and no full complex spectrum.  Each channel is transformed on
-its own, so fusion runs over blocks of whole channels and holds the
-half-plane spectra of one block at a time.
+no H x W mask and no full complex spectrum.  Since mask*B + (1 - mask)*R is
+R + mask*(B - R), it low-passes the difference of the two latents and adds
+the refined one back: one forward and one inverse transform.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .latents import LatentField
-
-# Values per fusion block: whole channels, at least one, up to this many.
-FUSE_BLOCK = 1 << 14
 
 
 class SpectralError(ValueError):
@@ -186,9 +183,7 @@ def spec_fuse(
     The same mask plane is applied to every channel.  With clamp on, each
     output value is clipped to the per-channel [min, max] of z_base.
     Both inputs are real, so fusion runs on rfft2's half plane (see
-    _half_plane_mask).  Channels are fused in blocks of at most FUSE_BLOCK
-    values (one channel at least), so only one block's spectra are held at
-    a time.
+    _half_plane_mask), as z_ref + irfft2(mask * rfft2(z_base - z_ref)).
     """
     if z_ref.shape != z_base.shape:
         raise SpectralError(
@@ -196,26 +191,15 @@ def spec_fuse(
         )
     height, width = z_base.height, z_base.width
     low = _half_plane_mask(height, width, rho, taper)
-    high = 1.0 - low
-    out = None  # allocated once the first block's spectra are freed
-    step = max(1, FUSE_BLOCK // (height * width))
-    for first in range(0, z_base.channels, step):
-        block = slice(first, first + step)
-        base = z_base.values[block]
-        spectra = base.shape[:1] + low.shape
-        # Given an out array, rfft2 runs its second pass in place.
-        fused = np.fft.rfft2(base, out=np.empty(spectra, complex))
-        fused *= low
-        ref = np.fft.rfft2(z_ref.values[block], out=np.empty(spectra, complex))
-        ref *= high
-        fused += ref
-        del ref  # frees its spectrum before the output is allocated
-        if out is None:
-            out = np.empty(z_base.shape)
-        # irfft2's two passes, the first in place, the second into the output.
-        np.fft.ifft(fused, axis=-2, out=fused)
-        np.fft.irfft(fused, n=width, axis=-1, out=out[block])
-        del fused  # before the next block's spectra
+    # Given an out array, rfft2 runs its second pass in place.
+    spectrum = np.empty((z_base.channels, *low.shape), complex)
+    np.fft.rfft2(z_base.values - z_ref.values, out=spectrum)
+    spectrum *= low
+    # irfft2's two passes, the first in place.
+    np.fft.ifft(spectrum, axis=-2, out=spectrum)
+    out = np.fft.irfft(spectrum, n=width, axis=-1)
+    del spectrum  # before the output's copy
+    out += z_ref.values
     if clamp:
         flat = z_base.values.reshape(z_base.channels, -1)
         lo = flat.min(axis=1)[:, None, None]

@@ -36,7 +36,7 @@ GOLDEN = {
     (0, "ddim", "img2img"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
         "7dd6004b19d428284f7f9107d05a3b09190db4ed62a851b3feb715931a2de584",
-        "0042be3600729604d063f59809cfdbe7207f512a720d534367f4d8eda718eef4",
+        "c47a829ba55c4938b4ab28424f19fb4af7ee107d630b85d491f7a10b993dccc3",
     ),
     (0, "ddim", "blend"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
@@ -56,7 +56,7 @@ GOLDEN = {
     (3, "ddim", "img2img"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
         "7dd6004b19d428284f7f9107d05a3b09190db4ed62a851b3feb715931a2de584",
-        "0042be3600729604d063f59809cfdbe7207f512a720d534367f4d8eda718eef4",
+        "c47a829ba55c4938b4ab28424f19fb4af7ee107d630b85d491f7a10b993dccc3",
     ),
     (3, "ddim", "blend"): (
         "aceb9b15bb7608fd8b1b0d52ba10f61a3ed69877ce88d1c375375c71a37c4bac",
