@@ -10,7 +10,7 @@ whole pipeline verifiable to numeric tolerance.
 from .cadr import CadrConfig, CadrParams, cadr_from_alignment
 from .criticore import CommitteeConfig, PromptBundle, make_prompt_bundle
 from .diffusion import Conditioning, VarianceSchedule, base_sample, make_schedule
-from .latents import LatentField, VaeScale, read_latent, write_latent
+from .latents import LatentField, read_latent, write_latent
 from .pipeline import (
     PipelineConfig,
     RunRecord,
@@ -36,7 +36,6 @@ __all__ = [
     "base_sample",
     "make_schedule",
     "LatentField",
-    "VaeScale",
     "read_latent",
     "write_latent",
     "PipelineConfig",

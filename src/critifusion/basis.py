@@ -59,14 +59,18 @@ def basis_plane(index: int, height: int, width: int) -> np.ndarray:
 def synthesize_target(
     weights: np.ndarray, channels: int, height: int, width: int
 ) -> np.ndarray:
-    """C x H x W mixture of basis patterns, identical across channels."""
+    """C x H x W mixture of basis patterns, identical across channels.
+
+    The result is a read-only broadcast of one H x W plane: a caller that
+    keeps or writes it makes its own copy.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (N_BASIS,):
         raise ValueError(f"weights must have length {N_BASIS}")
     plane = np.zeros((height, width), dtype=np.float64)
     for j in np.flatnonzero(weights):
         plane += weights[j] * basis_plane(int(j), height, width)
-    return np.broadcast_to(plane, (channels, height, width)).copy()
+    return np.broadcast_to(plane, (channels, height, width))
 
 
 def pattern_coefficients(values: np.ndarray) -> np.ndarray:

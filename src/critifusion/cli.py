@@ -4,6 +4,8 @@ Subcommands: generate, refine, sweep-k, ablate, sweep-ensemble, inspect.
 Exit codes: 0 success, 1 run failure, 2 config/argument error.  Every
 output file lands under the --out directory, which is created only when the
 first of them is written, so an error before that leaves no directory.
+Before that first write a command removes the outputs an earlier command
+left there, and nothing else, so the directory holds one command's outputs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ EXIT_RUN_FAILURE = 1
 EXIT_CONFIG = 2
 
 LATENT_FILES = {"z_base": "z_base.crtf", "z_ref": "z_ref.crtf", "z_fused": "z_fused.crtf"}
+# Every name a command writes under --out.
+OUTPUT_FILES = ("record.jsonl", "sweep.jsonl", *LATENT_FILES.values(), "image.ppm")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,13 +95,21 @@ def _int_list(raw: str):
         raise SweepConfigError(f"bad integer list {raw!r}") from exc
 
 
+def _fresh_out(args) -> Path:
+    """The --out directory, created, without an earlier command's outputs."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in OUTPUT_FILES:
+        (out / name).unlink(missing_ok=True)
+    return out
+
+
 def _run_single(args) -> int:
     config, endpoint = _load(args)
     base_latent = read_latent(args.latent) if args.subcommand == "refine" else None
     backend = _make_backend(config, endpoint)
     record, latents = run_critifusion(config, backend, base_latent=base_latent)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _fresh_out(args)
     write_run_record(record, out / "record.jsonl")
     for name, filename in LATENT_FILES.items():
         if name in latents:
@@ -122,13 +134,11 @@ def _run_sweep(args) -> int:
         table = ablate(config, mask, backend)
     else:
         table = sweep_ensemble(config, _int_list(args.sizes), backend)
-    _write_rows(args, table)
+    _write_rows(_fresh_out(args), args, table)
     return EXIT_OK
 
 
-def _write_rows(args, table) -> None:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_rows(out: Path, args, table) -> None:
     path = out / "sweep.jsonl"
     write_sweep_table(table, path)
     for row in table.rows:
@@ -199,10 +209,9 @@ def main(argv=None) -> int:
         try:
             return run(args)
         except StageFailure as exc:  # the failed run's partial record, sweeps too
+            out = _fresh_out(args)
             if exc.finished is not None and exc.finished.rows:
-                _write_rows(args, exc.finished)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
+                _write_rows(out, args, exc.finished)
             write_run_record(exc.record, out / "record.jsonl")
             print(f"run failed at stage {exc.stage}: {exc.cause}", file=sys.stderr)
             return EXIT_RUN_FAILURE

@@ -131,9 +131,7 @@ def forward_noise(
     if not (0 <= t < sched.steps):
         raise StepRangeError(f"t must be in [0, {sched.steps}), got {t}")
     abar = float(sched.alpha_bar[t])
-    out = np.sqrt(abar) * x0.values.astype(np.float64) + np.sqrt(
-        1.0 - abar
-    ) * noise.values.astype(np.float64)
+    out = np.sqrt(abar) * x0.values + np.sqrt(1.0 - abar) * noise.values
     return x0.with_values(out)
 
 
@@ -143,7 +141,7 @@ def target_field(
     """The fixed point the toy chain converges to under ``cond``."""
     _check_dims(channels, height, width)  # before the field is allocated
     values = synthesize_target(cond.embedding, channels, height, width)
-    return LatentField(channels, height, width, values)
+    return LatentField(channels, height, width, values)  # the one copy
 
 
 def toy_denoiser(
@@ -163,12 +161,8 @@ def toy_denoiser(
     abar = float(sched.alpha_bar[t])
     if abar >= 1.0:
         raise DegenerateStepError("alpha_bar == 1: nothing to predict")
-    anchor = target_field(
-        cond, z_t.channels, z_t.height, z_t.width
-    ).values.astype(np.float64) / (1.0 + cond.guidance_scale)
-    eps = (z_t.values.astype(np.float64) - np.sqrt(abar) * anchor) / np.sqrt(
-        1.0 - abar
-    )
+    anchor = synthesize_target(cond.embedding, *z_t.shape) / (1.0 + cond.guidance_scale)
+    eps = (z_t.values - np.sqrt(abar) * anchor) / np.sqrt(1.0 - abar)
     return z_t.with_values(eps)
 
 
@@ -179,9 +173,7 @@ def cfg_combine(
     _check_shapes(eps_cond, eps_uncond)
     if w < 0:
         raise ValueError(f"guidance scale must be >= 0, got {w}")
-    out = (1.0 + w) * eps_cond.values.astype(np.float64) - w * eps_uncond.values.astype(
-        np.float64
-    )
+    out = (1.0 + w) * eps_cond.values - w * eps_uncond.values
     return eps_cond.with_values(out)
 
 
@@ -195,10 +187,7 @@ def predict_x0(
     abar = sched.abar(t)
     if abar <= 0.0:
         raise SingularStepError("alpha_bar == 0: x0 not recoverable")
-    out = (
-        z_t.values.astype(np.float64)
-        - np.sqrt(1.0 - abar) * eps_hat.values.astype(np.float64)
-    ) / np.sqrt(abar)
+    out = (z_t.values - np.sqrt(1.0 - abar) * eps_hat.values) / np.sqrt(abar)
     return z_t.with_values(out)
 
 
@@ -210,9 +199,7 @@ def ddim_step(
         raise StepRangeError(f"t must be in [1, {sched.steps}], got {t}")
     x0 = predict_x0(z_t, t, eps_hat, sched)
     abar_prev = sched.abar(t - 1)
-    out = np.sqrt(abar_prev) * x0.values.astype(np.float64) + np.sqrt(
-        1.0 - abar_prev
-    ) * eps_hat.values.astype(np.float64)
+    out = np.sqrt(abar_prev) * x0.values + np.sqrt(1.0 - abar_prev) * eps_hat.values
     return z_t.with_values(out)
 
 
@@ -232,9 +219,8 @@ def ddpm_step(
     abar_t = sched.abar(t)
     abar_prev = sched.abar(t - 1)
     sigma2 = beta * (1.0 - abar_prev) / (1.0 - abar_t)
-    out = (
-        z_t.values.astype(np.float64) - beta * eps_hat.values.astype(np.float64)
-    ) / np.sqrt(1.0 - beta) + np.sqrt(sigma2) * noise.values.astype(np.float64)
+    out = (z_t.values - beta * eps_hat.values) / np.sqrt(1.0 - beta)
+    out += np.sqrt(sigma2) * noise.values
     return z_t.with_values(out)
 
 
@@ -278,8 +264,7 @@ def _gaussian_chain(sched: VarianceSchedule, step) -> tuple[float, float, float]
 def _affine(cond: Conditioning, c: float, *terms) -> np.ndarray:
     """c * cond's target plus scale * field for each (scale, field) of
     ``terms``, summed in place in that order: three fields at the peak."""
-    out = synthesize_target(cond.embedding, *terms[0][1].shape)
-    out *= c
+    out = c * synthesize_target(cond.embedding, *terms[0][1].shape)
     for scale, field in terms:
         out += scale * field.values
     return out

@@ -97,7 +97,7 @@ class LatentField:
         # Checked before the cast: widening a float32 signalling NaN warns.
         if not np.isfinite(values).all():
             raise LatentError("latent values must be finite")
-        arr = values.astype(np.float64)
+        arr = values.astype(np.float64, order="C")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -107,17 +107,6 @@ class LatentField:
 
     def with_values(self, values: np.ndarray) -> "LatentField":
         return LatentField(self.channels, self.height, self.width, values)
-
-
-@dataclass(frozen=True)
-class VaeScale:
-    """Latent scale factor applied on encode (multiply) / decode (divide)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0):
-            raise LatentError(f"gamma must be positive, got {self.gamma}")
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
@@ -34,7 +35,7 @@ from .diffusion import (
     img2img_refine,
     make_schedule,
 )
-from .latents import LatentError, LatentField, VaeScale, _check_dims, latent_digest
+from .latents import LatentError, LatentField, _check_dims, latent_digest
 from .spectral import TaperSpec, spec_fuse
 
 STAGES = (
@@ -114,7 +115,8 @@ class PipelineConfig:
             ("cadr.t_min + cadr.t_span", self.cadr.t_max),  # the longest correction
         ):
             make_schedule(steps, self.beta_start, self.beta_end, name)
-        VaeScale(self.gamma)
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         TaperSpec(self.taper)
 
     def digest(self) -> str:

@@ -3,10 +3,11 @@
 Only the public ``Spectrum`` API is DC-centered, with the zero frequency at
 (H//2, W//2).  Fusion keeps the low band of the base latent and the high
 band of the refined one.  It runs in the FFT's own order on rfft2's real
-half plane, under a mask built from two shifted 1-D profiles, so it builds
-no H x W mask and no full complex spectrum.  Since mask*B + (1 - mask)*R is
-R + mask*(B - R), it low-passes the difference of the two latents and adds
-the refined one back: one forward and one inverse transform.
+half plane, under a mask built from two 1-D profiles in that order, so it
+builds no H x W mask and no full complex spectrum.  Since
+mask*B + (1 - mask)*R is R + mask*(B - R), it low-passes the difference of
+the two latents and adds the refined one back: one forward and one inverse
+transform.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ class SpectralError(ValueError):
 
 
 class SymmetryViolationError(SpectralError):
-    """A spectrum or mask that is not Hermitian: an inverse transform's
-    imaginary residue above tolerance, or a fusion mask profile that is not
-    even about the DC bin."""
+    """A spectrum that is not Hermitian: an inverse transform's imaginary
+    residue above tolerance."""
 
 
 class MaskRangeError(SpectralError):
@@ -108,13 +108,16 @@ def inverse_spectrum(spec: Spectrum) -> LatentField:
 
 
 def _axis_profile(size: int, half_width: int, taper_fraction: float) -> np.ndarray:
-    """Per-axis mask profile over centered distance d = |index - size//2|.
+    """Per-axis mask profile in FFT order, over the distance d = min(k, size - k)
+    of bin k from the DC bin 0.
 
     Weight 1 for d <= h - t, cosine ramp 1 -> 0 over the last
-    t = ceil(taper_fraction * h) bins inside the rectangle, 0 outside.
+    t = ceil(taper_fraction * h) bins inside the rectangle, 0 outside.  A
+    function of d alone, so even about the DC bin, p[k] == p[-k], and in
+    [0, 1] by construction.
     """
-    center = size // 2
-    d = np.abs(np.arange(size) - center).astype(np.float64)
+    k = np.arange(size)
+    d = np.minimum(k, size - k).astype(np.float64)
     h = float(half_width)
     t = int(np.ceil(taper_fraction * half_width))
     profile = np.zeros(size, dtype=np.float64)
@@ -128,8 +131,8 @@ def _axis_profile(size: int, half_width: int, taper_fraction: float) -> np.ndarr
 def _profiles(
     height: int, width: int, rho: float, taper: TaperSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The low-pass mask's two centered axis profiles; the mask is their outer
-    product.
+    """The low-pass mask's two axis profiles in FFT order; the mask is their
+    outer product.
 
     Half-widths are floor(rho * dim / 2); rho = 0 gives the all-zero mask
     and rho = 1 the all-one mask.  Any rho > 0 keeps at least the DC bin.
@@ -150,24 +153,18 @@ def build_lowpass_mask(
     height: int, width: int, rho: float, taper: TaperSpec
 ) -> MaskPlane:
     """Centered rectangular low-pass mask whose passband grows with rho."""
-    return MaskPlane(height, width, np.outer(*_profiles(height, width, rho, taper)))
+    mask = np.outer(*_profiles(height, width, rho, taper))
+    return MaskPlane(height, width, np.fft.fftshift(mask))
 
 
 def _half_plane_mask(height: int, width: int, rho: float, taper: TaperSpec) -> np.ndarray:
     """The low-pass mask in FFT order on rfft2's half plane, H x (W//2 + 1).
 
-    Both profiles are shifted to FFT order, where each must equal its own
-    mirror, p[k] == p[-k], and lie in [0, 1].  Then the whole mask is real
-    and even, so the half plane of a real input's fused spectrum determines
-    the rest, and irfft2 returns exactly the fusion of the full spectra.
-    Otherwise fusion would silently symmetrise, so this raises instead.
+    Both profiles are even about the DC bin, so the whole mask is real and
+    even, the half plane of a real input's fused spectrum determines the
+    rest, and irfft2 returns exactly the fusion of the full spectra.
     """
-    pu, pv = (np.fft.ifftshift(p) for p in _profiles(height, width, rho, taper))
-    for p in (pu, pv):
-        if not np.array_equal(p[1:], p[:0:-1]) or p.min() < 0.0 or p.max() > 1.0:
-            raise SymmetryViolationError(
-                "mask profile must be even about the DC bin and lie in [0, 1]"
-            )
+    pu, pv = _profiles(height, width, rho, taper)
     return np.outer(pu, pv[: width // 2 + 1])
 
 

@@ -243,6 +243,7 @@ class TestHttpClient:
         assert resp.completion_tokens == 7
         assert state.requests[0]["body"]["model"] == "stub-model"
         assert state.requests[0]["body"]["temperature"] == 0.0
+        assert state.requests[0]["body"]["max_tokens"] == 256
 
     def test_retry_after_two_500s(self, stub):
         state, url = stub

@@ -81,6 +81,7 @@ INVALID = [
     {"budget": -1},
     {"budget": 0},
     {"gamma": 0},
+    {"gamma": math.inf},  # inf > 0, but every clause would score 0.5
     {"height": 8},
     {"channels": 0},
     # One over MAX_CHANNELS, on the smallest grid the toy basis allows.
@@ -395,6 +396,52 @@ class TestRefine:
         assert code == EXIT_RUN_FAILURE
         [rec] = read_record(out)
         assert (rec["status"], rec["failed_stage"]) == ("failed", "aggregate")
+
+
+class TestRerunIntoOneOut:
+    """A command replaces the outputs an earlier command left in --out."""
+
+    def test_second_generate_replaces_the_first(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        args = ["generate", "--config", str(cfg_file), "--out", str(out)]
+        assert main(args) == EXIT_OK
+        assert main(args + ["--seed", "4", "--prompt", "cobalt dune"]) == EXIT_OK
+        [rec] = read_record(out)
+        assert (rec["base_seed"], rec["prompt"]) == (4, "cobalt dune")
+        capsys.readouterr()
+        assert main(["inspect", str(out / "record.jsonl")]) == EXIT_OK
+        assert capsys.readouterr().out.count("verified") == 3
+
+    def test_refine_from_its_own_out(self, tmp_path, cfg_file):
+        out = tmp_path / "run"
+        main(["generate", "--config", str(cfg_file), "--out", str(out)])
+        code = main(
+            ["refine", "--config", str(cfg_file), "--out", str(out),
+             "--latent", str(out / "z_base.crtf")]
+        )
+        assert code == EXIT_OK
+        assert len(read_record(out)) == 1
+        assert main(["inspect", str(out / "record.jsonl")]) == EXIT_OK
+
+    def test_second_sweep_replaces_the_rows(self, tmp_path, cfg_file):
+        out = tmp_path / "sw"
+        args = ["sweep-k", "--config", str(cfg_file), "--out", str(out), "--k", "0,30"]
+        assert main(args) == EXIT_OK
+        assert main(args) == EXIT_OK
+        assert len((out / "sweep.jsonl").read_text().splitlines()) == 2
+
+    def test_failed_run_leaves_no_stale_latent(self, tmp_path, cfg_file, monkeypatch):
+        from test_pipeline import FailingBackend
+
+        out = tmp_path / "run"
+        args = ["generate", "--config", str(cfg_file), "--out", str(out)]
+        assert main(args + ["--dump-image"]) == EXIT_OK
+        (out / "notes.txt").write_text("not an output")
+        monkeypatch.setattr(cli, "_make_backend", lambda config, endpoint: FailingBackend())
+        assert main(args) == EXIT_RUN_FAILURE
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "record.jsonl"]
+        [rec] = read_record(out)
+        assert rec["status"] == "failed"
 
 
 class TestInspect:

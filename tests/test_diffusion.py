@@ -822,3 +822,22 @@ class TestBoundedMemory:
         assert short < self.LIMIT
         assert long < self.LIMIT
         assert long < short + self.FIELD // 8
+
+    @pytest.mark.parametrize("stage", ["base_sample", "img2img_refine"])
+    def test_target_is_copied_once(self, stage):
+        # A DDIM sample and an img2img correction are the prompt's target:
+        # one H x W plane and the field's one copy, 1.25 fields.  The first
+        # call at a size fills basis._cosines' tables, so one runs untraced.
+        s = make_schedule(50, 1e-4, 0.02)
+        cond = Conditioning(embedding(1, 5), 3.0)
+        if stage == "base_sample":
+            def run():
+                return base_sample(cond, s, "ddim", 0, self.C, self.H, self.W)
+        else:
+            z = sample_gaussian_latent(self.C, self.H, self.W, 1)
+            params = CadrParams(lam=0.25, g=4.0, T_prime=20, rho=0.7)
+
+            def run():
+                return img2img_refine(z, cond, params, s, 0, mode="img2img")
+        run()
+        assert peak_bytes(run) < 1.5 * self.FIELD

@@ -1,13 +1,16 @@
 """Golden SHA-256 digests of the three stage latents.
 
-Two runs agreeing only shows determinism; these digests pin the exact
-bits, so a refactor that drifts every run the same way still fails.  The
-prompt ``aurora`` scores 0.75 and refines in every case with T' = 20, so
-z_ref and z_fused are exercised, not copies of z_base.  The
-committee mode does not change the clause set for this prompt, so the MoA
-and MAD runs share one row.  DDIM's z_base is the prompt's target for every
-seed, and the img2img z_ref is the enhanced prompt's target in every row:
-both are closed forms, so their pins repeat.
+Two runs agreeing only shows determinism; these digests pin the bits of
+the written files, so a refactor that drifts every run the same way still
+fails.  A digest hashes a latent's float32 ``.crtf`` bytes, while a run
+holds its fields in float64, so drift below float32 resolution passes
+every ``GOLDEN`` pin and shows only through the score reprs that the
+``TABLES`` lines carry.  The prompt ``aurora`` scores 0.75 and refines in
+every case with T' = 20, so z_ref and z_fused are exercised, not copies
+of z_base.  The committee mode does not change the clause set for this
+prompt, so the MoA and MAD runs share one row.  DDIM's z_base is the
+prompt's target for every seed, and the img2img z_ref is the enhanced
+prompt's target in every row: both are closed forms, so their pins repeat.
 
 ``TABLES`` pins the SHA-256 of each sweep harness's JSON lines the same
 way, for ``aurora`` and for the skip prompt ``aurora basalt`` (T' = 0).

@@ -26,7 +26,6 @@ from critifusion.latents import (
     LatentField,
     TrailingBytesError,
     TruncatedStreamError,
-    VaeScale,
     _check_dims,
     _gaussian_stream,
     latent_bytes,
@@ -73,6 +72,14 @@ class TestLatentField:
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 9.0
 
+    def test_broadcast_values_are_stored_c_contiguous(self):
+        # A target is a broadcast of one plane; its copy must not inherit
+        # the broadcast's layout, with the channel axis innermost.
+        plane = np.arange(12.0).reshape(3, 4)
+        f = LatentField(2, 3, 4, np.broadcast_to(plane, (2, 3, 4)))
+        assert f.values.flags.c_contiguous
+        assert f.values.tobytes() == np.stack([plane, plane]).tobytes()
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -111,12 +118,6 @@ class TestSampling:
             "-0x1.df4028ebdf818p-1",
             "-0x1.a6a81ed66a640p-4",
         ]
-
-
-class TestVaeScale:
-    def test_nonpositive_gamma_rejected(self):
-        with pytest.raises(LatentError):
-            VaeScale(0.0)
 
 
 class TestSerialization:
