@@ -94,10 +94,11 @@ def cadr_from_alignment(s: float, config: CadrConfig = CadrConfig()) -> CadrPara
             T_prime=0,
             rho=config.rho_min,
         )
+    # u lies in [0, 1], so each value lies between its endpoints already.
     u = 1.0 - s
-    lam = min(config.lam_min + u * config.lam_span, config.lam_min + config.lam_span)
-    g = min(config.g_min + u * config.g_span, config.g_min + config.g_span)
-    rho = min(config.rho_min + u * config.rho_span, config.rho_min + config.rho_span)
-    t_prime = int(math.floor(config.t_min + u * config.t_span + 0.5))
-    t_prime = min(max(t_prime, config.t_min), config.t_max)
-    return CadrParams(lam=lam, g=g, T_prime=t_prime, rho=rho)
+    return CadrParams(
+        lam=config.lam_min + u * config.lam_span,
+        g=config.g_min + u * config.g_span,
+        T_prime=int(math.floor(config.t_min + u * config.t_span + 0.5)),
+        rho=config.rho_min + u * config.rho_span,
+    )

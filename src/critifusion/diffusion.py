@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -105,7 +105,10 @@ def make_schedule(
 ) -> VarianceSchedule:
     """Linearly spaced betas; alpha_bar accumulated in 64-bit.
 
-    ``name`` is what a rejected step count is called in the error.
+    ``name`` is what a rejected step count is called in the error.  The
+    schedule is memoised per (T, beta_start, beta_end) and its arrays are
+    read-only: a run, its corrective pass and its config's checks ask for
+    the same few schedules over and over.
     """
     if not (1 <= T <= MAX_STEPS):
         raise ScheduleError(f"{name} must be in [1, {MAX_STEPS}], got {T}")
@@ -113,8 +116,17 @@ def make_schedule(
         raise ScheduleError(
             f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"
         )
+    return _schedule(T, beta_start, beta_end)
+
+
+# An entry holds at most 2 x MAX_STEPS floats, 16 KB; a default config asks
+# for its sampling schedule and the 15 corrective lengths t_min .. t_max.
+# Typed, so a float T still fails in linspace after the int T is cached.
+@lru_cache(maxsize=64, typed=True)
+def _schedule(T: int, beta_start: float, beta_end: float) -> VarianceSchedule:
     beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
     alpha_bar = np.cumprod(1.0 - beta)
+    beta.flags.writeable = alpha_bar.flags.writeable = False
     return VarianceSchedule(T, beta, alpha_bar, beta_start, beta_end)
 
 

@@ -144,6 +144,10 @@ def sample_gaussian_latent(
     return LatentField(channels, height, width, draws.reshape(channels, height, width))
 
 
+def _header(field: LatentField) -> bytes:
+    return MAGIC + struct.pack("<III", field.channels, field.height, field.width)
+
+
 def write_latent(field: LatentField, sink) -> None:
     """Serialize: magic, three u32le dims, then float32le values (C outermost).
 
@@ -153,8 +157,7 @@ def write_latent(field: LatentField, sink) -> None:
         with open(sink, "wb") as fh:
             write_latent(field, fh)
         return
-    sink.write(MAGIC)
-    sink.write(struct.pack("<III", field.channels, field.height, field.width))
+    sink.write(_header(field))
     sink.write(field.values.astype("<f4").tobytes())
 
 
@@ -199,5 +202,11 @@ def latent_bytes(field: LatentField) -> bytes:
 
 
 def latent_digest(field: LatentField) -> str:
-    """SHA-256 of the serialized bytes; stable content identity for records."""
-    return hashlib.sha256(latent_bytes(field)).hexdigest()
+    """SHA-256 of the serialized bytes; stable content identity for records.
+
+    The header and the float32 payload feed the hash directly; no
+    serialized stream is built.
+    """
+    digest = hashlib.sha256(_header(field))
+    digest.update(field.values.astype("<f4"))
+    return digest.hexdigest()

@@ -8,7 +8,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
-from functools import partial
+from functools import cached_property, partial
 
 from . import vocab
 from .agents import AgentError, MockAgentBackend, mock_respond
@@ -120,6 +120,11 @@ class PipelineConfig:
         TaperSpec(self.taper)
 
     def digest(self) -> str:
+        """SHA-256 of the config's JSON; computed once, as the config is frozen."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -226,6 +231,24 @@ class _AgentCalls:
         return resp
 
 
+class _SharedBase:
+    """A base latent with its digest and pattern projection, each computed
+    at most once.  A sweep hands one to every row: the first row sets the
+    latent it sampled, and the later rows neither hash nor project it again.
+    """
+
+    def __init__(self, latent: LatentField | None = None):
+        self.latent = latent
+
+    @cached_property
+    def digest(self) -> str:
+        return latent_digest(self.latent)
+
+    @cached_property
+    def projection(self):
+        return pattern_coefficients(self.latent.values)
+
+
 def _check_k(k: int, config: PipelineConfig) -> None:
     if not (0 <= k <= config.cadr.t_max):
         raise SweepConfigError(f"k={k} outside [0, {config.cadr.t_max}]")
@@ -237,6 +260,8 @@ def run_critifusion(
     disable: frozenset = frozenset(),
     forced_k: int | None = None,
     base_latent: LatentField | None = None,
+    *,
+    _base: _SharedBase | None = None,
 ):
     """Execute the full refinement pipeline.
 
@@ -251,6 +276,7 @@ def run_critifusion(
     in [0, t_max].  The toy's img2img pass lands on the enhanced prompt's
     target for every k, so k > 0 reaches only the recorded T'.  Blend
     refinement ignores k, so ``forced_k`` needs ``refine_mode = img2img``.
+    ``_base``, from a sweep, stands in for ``base_latent``.
     """
     unknown = set(disable) - set(ABLATABLE)
     if unknown:
@@ -259,9 +285,10 @@ def run_critifusion(
         if config.refine_mode != "img2img":
             raise SweepConfigError("forced_k needs refine_mode = img2img")
         _check_k(forced_k, config)
+    base = _base if _base is not None else _SharedBase(base_latent)
     expected = (config.channels, config.height, config.width)
-    if base_latent is not None and base_latent.shape != expected:
-        raise LatentError(f"base latent shape {base_latent.shape} is not {expected}")
+    if base.latent is not None and base.latent.shape != expected:
+        raise LatentError(f"base latent shape {base.latent.shape} is not {expected}")
     record = RunRecord(
         config_digest=config.digest(),
         base_seed=config.seed,
@@ -299,8 +326,8 @@ def run_critifusion(
 
     z_base = stage(
         "base_sample",
-        lambda: base_latent
-        if base_latent is not None
+        lambda: base.latent
+        if base.latent is not None
         else base_sample(
             conditioning_from_prompt(bundle),
             sched,
@@ -311,13 +338,14 @@ def run_critifusion(
             config.width,
         ),
     )
-    latents["z_base"] = z_base
-    record.digests["z_base"] = latent_digest(z_base)
+    base.latent = latents["z_base"] = z_base
+    record.digests["z_base"] = base.digest
 
     def decode(z: LatentField):
         # The critique reads an image only as its pattern coefficients, and
         # decoding's division by gamma commutes with the projection.
-        return pattern_coefficients(z.values) / config.gamma
+        projection = base.projection if z is z_base else pattern_coefficients(z.values)
+        return projection / config.gamma
 
     coefs = stage("decode", lambda: decode(z_base))
 
@@ -395,8 +423,11 @@ def run_critifusion(
             )
     latents["z_ref"] = z_ref
     latents["z_fused"] = z_fused
-    record.digests["z_ref"] = latent_digest(z_ref)
-    record.digests["z_fused"] = latent_digest(z_fused)
+    # A stage that passed its input through passes its digest on too.
+    record.digests["z_ref"] = base.digest if z_ref is z_base else latent_digest(z_ref)
+    record.digests["z_fused"] = (
+        record.digests["z_ref"] if z_fused is z_ref else latent_digest(z_fused)
+    )
 
     final_report = stage(
         "decode_final", lambda: score_clauses(report.clauses, decode(z_fused))
@@ -411,8 +442,9 @@ def _sweep(axis: str, rows, backend):
 
     No rows, or a repeated axis value, fails before any run.  Rows differ
     only downstream of ``base_sample``, so the first row samples the base
-    latent and every later row reuses it.  A failing row's StageFailure
-    leaves with the rows finished before it.
+    latent and every later row reuses it, with its digest and pattern
+    projection.  A failing row's StageFailure leaves with the rows finished
+    before it.
     """
     values = [value for value, _, _ in rows]
     if not values:
@@ -420,16 +452,13 @@ def _sweep(axis: str, rows, backend):
     if len(set(values)) != len(values):
         raise SweepConfigError(f"duplicate {axis} values")
     out = []
-    base_latent = None
+    base = _SharedBase()
     for value, config, kwargs in rows:
         try:
-            record, latents = run_critifusion(
-                config, backend, base_latent=base_latent, **kwargs
-            )
+            record, _ = run_critifusion(config, backend, _base=base, **kwargs)
         except StageFailure as exc:
             exc.finished = SweepTable(axis=axis, rows=tuple(out))
             raise
-        base_latent = latents["z_base"]
         out.append(
             {
                 "axis_value": value,

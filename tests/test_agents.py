@@ -253,6 +253,20 @@ class TestHttpClient:
         assert resp.attempts == 3
         assert len(state.requests) == 3
 
+    def test_retry_delays_double_from_backoff(self, stub, monkeypatch):
+        state, url = stub
+        state.script = [503, 503]
+        slept = []  # (delay, requests sent before it)
+        monkeypatch.setattr(
+            critifusion.agents.time,
+            "sleep",
+            lambda seconds: slept.append((seconds, len(state.requests))),
+        )
+        ep = endpoint(url, max_retries=2, backoff=0.25)
+        resp = http_complete(ep, make_request("propose", "x"))
+        assert resp.attempts == 3
+        assert slept == [(0.25, 1), (0.5, 2)]
+
     def test_429_is_transient(self, stub):
         state, url = stub
         state.script = [429]

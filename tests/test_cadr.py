@@ -3,14 +3,16 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from critifusion.cadr import (
+    SCORE_DECIMALS,
     AlignmentInputError,
     CadrConfig,
     CadrParams,
     cadr_from_alignment,
 )
+from critifusion.diffusion import MAX_STEPS
 
 
 class TestEndpoints:
@@ -135,3 +137,59 @@ class TestProperties:
     def test_skip_discontinuity(self):
         assert cadr_from_alignment(0.9).T_prime >= 16
         assert cadr_from_alignment(0.9000001).T_prime == 0
+
+
+def clamped_cadr(s, config):
+    """cadr_from_alignment as written before its clamps were found dead."""
+    s = min(max(round(s, SCORE_DECIMALS), 0.0), 1.0)
+    if s > config.skip_threshold:
+        return CadrParams(
+            lam=config.lam_min, g=config.g_min, T_prime=0, rho=config.rho_min
+        )
+    u = 1.0 - s
+    lam = min(config.lam_min + u * config.lam_span, config.lam_min + config.lam_span)
+    g = min(config.g_min + u * config.g_span, config.g_min + config.g_span)
+    rho = min(config.rho_min + u * config.rho_span, config.rho_min + config.rho_span)
+    t_prime = int(math.floor(config.t_min + u * config.t_span + 0.5))
+    t_prime = min(max(t_prime, config.t_min), config.t_max)
+    return CadrParams(lam=lam, g=g, T_prime=t_prime, rho=rho)
+
+
+def bits(params):
+    """Every field, floats by their exact hex form, so -0.0 differs from 0.0."""
+    return tuple(
+        v.hex() if isinstance(v, float) else (type(v), v)
+        for v in (params.lam, params.g, params.T_prime, params.rho)
+    )
+
+
+@st.composite
+def cadr_configs(draw):
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    lam_min, rho_min = draw(unit), draw(unit)
+    try:
+        return CadrConfig(
+            lam_min=lam_min,
+            g_min=draw(st.floats(min_value=-50.0, max_value=50.0)),
+            t_min=draw(st.integers(min_value=1, max_value=MAX_STEPS)),
+            rho_min=rho_min,
+            lam_span=draw(st.floats(min_value=0.0, max_value=1.0 - lam_min)),
+            g_span=draw(st.floats(min_value=0.0, max_value=50.0)),
+            t_span=draw(st.integers(min_value=0, max_value=MAX_STEPS)),
+            rho_span=draw(st.floats(min_value=0.0, max_value=1.0 - rho_min)),
+            skip_threshold=draw(
+                st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+            ),
+        )
+    except AlignmentInputError:  # min + span rounded above 1
+        reject()
+
+
+class TestClampsWereDead:
+    @given(
+        s=st.floats(min_value=0.0, max_value=1.0),
+        config=st.one_of(st.just(CadrConfig()), cadr_configs()),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_clamped_formula_bit_for_bit(self, s, config):
+        assert bits(cadr_from_alignment(s, config)) == bits(clamped_cadr(s, config))

@@ -331,6 +331,14 @@ class TestMergeTopk:
         assert out.tokens.count("tok0") == 1
         assert "fresh" in out.tokens
 
+    def test_repeated_base_tokens_survive_pass_one(self):
+        # One over budget: pass 1 drops the appended repeat, never the
+        # base prompt's own repeat.
+        base = PromptBundle(("aurora", "aurora", "basalt"), (0.5,) * 3, budget=4)
+        clause = Clause(0, ("cobalt", "aurora"), "entity", score=0.0)
+        out = merge_topk(base, [clause], k_edit=1)
+        assert out.tokens == ("aurora", "aurora", "basalt", "cobalt")
+
     def test_lowest_scores_merge_in_order(self):
         base = make_prompt_bundle("aurora")
         clauses = self.scored([(0, 0.9), (1, 0.2), (2, 0.5)])

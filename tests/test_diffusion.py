@@ -91,6 +91,15 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             make_schedule(5, 0.5, 1.0)
 
+    def test_memoised_per_key_and_read_only(self):
+        s = make_schedule(37, 1e-4, 0.02)
+        # The error label is not part of the key.
+        assert make_schedule(37, 1e-4, 0.02, "T'") is s
+        assert make_schedule(38, 1e-4, 0.02) is not s
+        for values in (s.beta, s.alpha_bar):
+            with pytest.raises(ValueError):
+                values[0] = 0.5
+
     def test_abar_boundary(self):
         s = make_schedule(3, 0.1, 0.1)
         assert s.abar(0) == 1.0

@@ -5,6 +5,7 @@ recomputations (math.fsum accumulations) rather than the library's own
 helpers.
 """
 
+import hashlib
 import io
 import math
 import struct
@@ -222,6 +223,15 @@ class TestSerialization:
         assert latent_digest(a) == latent_digest(b)
         assert latent_digest(a) != latent_digest(c)
         assert len(latent_digest(a)) == 64
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 2, 2), (3, 5, 7), (4, 33, 47), (4, 64, 64), (2, 131, 3)]
+    )
+    def test_digest_is_the_sha256_of_the_serialized_bytes(self, shape):
+        # Float64 values, so the digest's float32 cast rounds as the file's does.
+        values = np.random.default_rng(sum(shape)).standard_normal(shape)
+        f = LatentField(*shape, values)
+        assert latent_digest(f) == hashlib.sha256(latent_bytes(f)).hexdigest()
 
 
 @st.composite

@@ -1,22 +1,24 @@
 """End-to-end orchestration, provenance records, and sweep harnesses."""
 
+import hashlib
 import itertools
 import json
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from critifusion import pipeline, vocab
+from critifusion import diffusion, pipeline, vocab
 from critifusion.agents import AgentTransportError, MockAgentBackend, mock_respond
 from critifusion.cadr import CadrConfig
 from critifusion.criticore import CommitteeConfig, EmptyInputError
 from critifusion.latents import LatentError, LatentField, read_latent
 from critifusion.pipeline import (
+    ABLATABLE,
     STAGES,
     PipelineConfig,
     RunRecord,
@@ -674,8 +676,41 @@ def base_sample_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def sweep_runs(monkeypatch):
+    """(config, run kwargs, record, latents) of every run a sweep makes."""
+    runs = []
+    original = pipeline.run_critifusion
+
+    def capturing(config, backend=None, **kwargs):
+        record, latents = original(config, backend, **kwargs)
+        runs.append((config, kwargs, record, latents))
+        return record, latents
+
+    monkeypatch.setattr(pipeline, "run_critifusion", capturing)
+    return runs
+
+
+def without_wall_clock(record):
+    """A record's JSON line minus its timings: floats compare by repr."""
+    data = record.to_dict()
+    del data["wall_clock"]
+    return json.dumps(data, sort_keys=True)
+
+
+HARNESSES = {
+    "sweep_k": (sweep_k, [0, 5, 30]),
+    "ablate": (ablate, ABLATABLE),
+    "sweep_ensemble": (sweep_ensemble, [1, 2, 3]),
+}
+
+
 class TestSharedBaseLatent:
-    """Every sweep row equals an independent run that samples its own base."""
+    """Every sweep row equals an independent run that samples its own base.
+
+    What the rows share, they compute once: the base latent, its digest and
+    projection, each config's digest and each schedule.
+    """
 
     @pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
     @pytest.mark.parametrize(
@@ -708,14 +743,82 @@ class TestSharedBaseLatent:
 
     def test_one_base_sample_per_harness_call(self, base_sample_calls):
         cfg = PipelineConfig(prompt=DEGRADED, seed=2)
-        for harness, axis in (
-            (sweep_k, [0, 5, 30]),
-            (ablate, ["vlm", "multi_llm", "specfusion"]),
-            (sweep_ensemble, [1, 2, 3]),
-        ):
+        for name, (harness, axis) in HARNESSES.items():
             base_sample_calls.clear()
             harness(cfg, axis)
-            assert len(base_sample_calls) == 1, harness.__name__
+            assert len(base_sample_calls) == 1, name
+
+    @pytest.mark.parametrize("harness", sorted(HARNESSES))
+    @pytest.mark.parametrize("sampler", ["ddim", "ddpm"])
+    @pytest.mark.parametrize(
+        "committee",
+        [CommitteeConfig(mode="moa"), CommitteeConfig(mode="mad", agents=3)],
+        ids=["moa", "mad"],
+    )
+    @pytest.mark.parametrize("prompt", [DEGRADED, COMPLETE])
+    def test_each_record_equals_an_independent_run(
+        self, sweep_runs, harness, sampler, committee, prompt
+    ):
+        run, axis = HARNESSES[harness]
+        cfg = PipelineConfig(prompt=prompt, seed=2, sampler=sampler, committee=committee)
+        table = run(cfg, axis)
+        assert len(sweep_runs) == len(table.rows)
+        for config, kwargs, record, _ in sweep_runs:
+            public = {k: v for k, v in kwargs.items() if not k.startswith("_")}
+            alone, _ = run_critifusion(config, **public)
+            assert without_wall_clock(record) == without_wall_clock(alone)
+
+    @pytest.mark.parametrize("harness", sorted(HARNESSES))
+    def test_base_hashed_and_projected_once(self, monkeypatch, sweep_runs, harness):
+        hashed, projected = [], []
+        digest, project = pipeline.latent_digest, pipeline.pattern_coefficients
+        monkeypatch.setattr(
+            pipeline, "latent_digest", lambda f: hashed.append(f) or digest(f)
+        )
+        monkeypatch.setattr(
+            pipeline,
+            "pattern_coefficients",
+            lambda values: projected.append(values) or project(values),
+        )
+        run, axis = HARNESSES[harness]
+        run(PipelineConfig(prompt=DEGRADED, seed=2), axis)
+        z_base = sweep_runs[0][3]["z_base"]
+        assert all(latents["z_base"] is z_base for *_, latents in sweep_runs)
+        assert sum(f is z_base for f in hashed) == 1
+        assert sum(v is z_base.values for v in projected) == 1
+
+    def test_each_distinct_config_digested_once(self, monkeypatch):
+        digested = []
+
+        def counting(obj):
+            if isinstance(obj, PipelineConfig):
+                digested.append(obj)
+            return asdict(obj)
+
+        monkeypatch.setattr(pipeline, "asdict", counting)
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2)
+        sweep_k(cfg, [0, 5, 30])
+        ablate(cfg, ABLATABLE)
+        assert digested == [cfg]
+        digested.clear()
+        sweep_ensemble(cfg, [1, 2, 3])
+        assert sorted(c.committee.layer_widths for c in digested) == [(1,), (2,), (3,)]
+
+    def test_config_digest_is_the_sha256_of_its_json(self):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2)
+        payload = json.dumps(asdict(cfg), sort_keys=True, default=str)
+        expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        assert cfg.digest() == expected
+        assert replace(cfg, seed=3).digest() != expected
+
+    def test_each_schedule_built_once(self):
+        diffusion._schedule.cache_clear()
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2)
+        rows = sweep_k(cfg, [5, 30]).rows + ablate(cfg, ABLATABLE).rows
+        # The config's checks build the sampling schedule and the longest
+        # correction; each other T' a row refines over is built once.
+        lengths = {cfg.steps, cfg.cadr.t_max} | {r["cadr"]["T_prime"] for r in rows}
+        assert diffusion._schedule.cache_info().misses == len(lengths - {0})
 
 
 class TestSerialization:
