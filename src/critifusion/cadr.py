@@ -39,6 +39,11 @@ class CadrConfig:
         for name in ("lam_min", "g_min", "t_min", "rho_min") + spans:
             if not math.isfinite(getattr(self, name)):
                 raise AlignmentInputError(f"{name} must be finite")
+        for name in ("t_min", "t_span"):
+            value = getattr(self, name)
+            # Step counts: a float would reach the schedule, a bool is no count.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise AlignmentInputError(f"{name} must be an integer, got {value!r}")
         for name in spans:
             if getattr(self, name) < 0:
                 raise AlignmentInputError(f"{name} must be >= 0")

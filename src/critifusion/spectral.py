@@ -123,6 +123,8 @@ def _axis_profile(size: int, half_width: int, taper_fraction: float) -> np.ndarr
     profile = np.zeros(size, dtype=np.float64)
     profile[d <= h] = 1.0
     if t > 0:
+        # d >= h - t would select the same weights: at d = h - t the ramp
+        # reads 0.5 * (1 + cos 0) = 1, the weight already set.
         ramp = (d > h - t) & (d <= h)
         profile[ramp] = 0.5 * (1.0 + np.cos(np.pi * (d[ramp] - (h - t)) / t))
     return profile

@@ -13,6 +13,7 @@ from critifusion.cadr import (
     cadr_from_alignment,
 )
 from critifusion.diffusion import MAX_STEPS
+from critifusion.pipeline import PipelineConfig
 
 
 class TestEndpoints:
@@ -93,6 +94,14 @@ class TestValidation:
     def test_non_finite_config_rejected(self, name, bad):
         with pytest.raises(AlignmentInputError):
             CadrConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["t_min", "t_span"])
+    @pytest.mark.parametrize("bad", [16.5, 16.0, True])
+    def test_non_integer_step_count_rejected(self, name, bad):
+        with pytest.raises(AlignmentInputError, match=f"^{name} must be an integer"):
+            CadrConfig(**{name: bad})
+        with pytest.raises(AlignmentInputError, match=f"^{name} must be an integer"):
+            PipelineConfig(cadr=CadrConfig(**{name: bad}))
 
     def test_t_min_below_one_rejected(self):
         for t_min in (0, -40):

@@ -6,6 +6,7 @@ import json
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -821,6 +822,116 @@ class TestSharedBaseLatent:
         assert diffusion._schedule.cache_info().misses == len(lengths - {0})
 
 
+@pytest.fixture()
+def spec_fuse_outputs(monkeypatch):
+    """Each ``pipeline.spec_fuse`` call's output, as a weak reference."""
+    outputs = []
+    original = pipeline.spec_fuse
+
+    def counting(*args):
+        out = original(*args)
+        outputs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(pipeline, "spec_fuse", counting)
+    return outputs
+
+
+def fusion_input(config, record, latents):
+    """What a row fuses, or None if it passes z_ref through."""
+    if latents["z_fused"] is latents["z_ref"]:
+        return None
+    z_ref = latents["z_ref"].values.tobytes()
+    return z_ref, record.cadr["rho"], config.taper, config.clamp
+
+
+class TestSharedFusion:
+    """A sweep fuses each run of equal consecutive inputs once, holds one
+    fusion at most, and every row still equals an independent run."""
+
+    def test_sweep_k_fuses_once(self, spec_fuse_outputs):
+        sweep_k(PipelineConfig(prompt=DEGRADED, seed=2), range(0, 31, 5))
+        assert len(spec_fuse_outputs) == 1
+
+    @pytest.mark.parametrize("refine_mode", ["img2img", "blend"])
+    @pytest.mark.parametrize("harness", ["ablate", "sweep_ensemble"])
+    def test_one_fusion_per_run_of_equal_inputs(
+        self, spec_fuse_outputs, sweep_runs, harness, refine_mode
+    ):
+        run, _ = HARNESSES[harness]
+        axis = ABLATABLE if harness == "ablate" else range(1, 6)
+        run(PipelineConfig(prompt=DEGRADED, seed=2, refine_mode=refine_mode), axis)
+        inputs = [fusion_input(c, r, lat) for c, _, r, lat in sweep_runs]
+        inputs = [i for i in inputs if i is not None]
+        runs = [key for key, _ in itertools.groupby(inputs)]
+        assert len(spec_fuse_outputs) == len(runs) < len(inputs)
+
+    @pytest.mark.parametrize(
+        "harness, refine_mode",
+        [(h, "img2img") for h in sorted(HARNESSES)]
+        + [("ablate", "blend"), ("lam", "blend")],
+    )
+    def test_rows_exact_under_digest_collisions(
+        self, monkeypatch, sweep_runs, harness, refine_mode
+    ):
+        # A pure guard: every digest collides, so only the bitwise check of
+        # z_ref tells the lambda rows' fusion inputs apart.
+        monkeypatch.setattr(pipeline, "latent_digest", lambda field: "0" * 64)
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2, refine_mode=refine_mode)
+        if harness == "lam":
+            # lambda moves a blend z_ref, and rho does not follow it.
+            configs = [replace(cfg, cadr=CadrConfig(lam_min=x)) for x in (0.12, 0.3)]
+            pipeline._sweep("lam_min", [(c.cadr.lam_min, c, {}) for c in configs], None)
+        else:
+            run, axis = HARNESSES[harness]
+            run(cfg, axis)
+        for config, kwargs, record, latents in sweep_runs:
+            public = {k: v for k, v in kwargs.items() if not k.startswith("_")}
+            alone, alone_latents = run_critifusion(config, **public)
+            assert without_wall_clock(record) == without_wall_clock(alone)
+            assert (
+                latents["z_fused"].values.tobytes()
+                == alone_latents["z_fused"].values.tobytes()
+            )
+        if harness == "lam":
+            refs = [latents["z_ref"].values.tobytes() for *_, latents in sweep_runs]
+            assert refs[0] != refs[1]
+            assert len({record.cadr["rho"] for _, _, record, _ in sweep_runs}) == 1
+
+    def test_alternating_inputs_fuse_each_time_and_hold_one(
+        self, monkeypatch, spec_fuse_outputs
+    ):
+        live_at_fusion, live_after_row, records = [], [], []
+        original_fuse, original_run = pipeline.spec_fuse, pipeline.run_critifusion
+
+        def fuse(*args):
+            live_at_fusion.append(sum(ref() is not None for ref in spec_fuse_outputs))
+            return original_fuse(*args)
+
+        def run(*args, **kwargs):
+            records.append(original_run(*args, **kwargs)[0])
+            live_after_row.append(sum(ref() is not None for ref in spec_fuse_outputs))
+            return records[-1], None
+
+        monkeypatch.setattr(pipeline, "spec_fuse", fuse)
+        monkeypatch.setattr(pipeline, "run_critifusion", run)
+        # One z_ref throughout; each row's clamp, taper or rho is not the
+        # last row's.
+        first = PipelineConfig(prompt=DEGRADED, seed=2)
+        others = [
+            replace(first, clamp=False),
+            replace(first, taper=0.2),
+            replace(first, cadr=CadrConfig(rho_min=0.5)),
+        ]
+        configs = [c for other in others for c in (first, other)]
+        pipeline._sweep("row", [(i, c, {}) for i, c in enumerate(configs)], None)
+        assert len({r.digests["z_ref"] for r in records}) == 1
+        assert len({r.cadr["rho"] for r in records}) == 2
+        assert len(spec_fuse_outputs) == len(configs)
+        assert live_at_fusion == [0] * len(configs)
+        assert live_after_row == [1] * len(configs)
+
+
 class TestSerialization:
     def test_record_round_trip(self, tmp_path):
         rec, _ = run_critifusion(PipelineConfig(prompt=DEGRADED, seed=9))
@@ -916,7 +1027,9 @@ class TestRunMemory:
     under either sampler and refine mode.  The first run at a size reads up
     to 1.1 fields more (cosine tables and allocations made once), so one
     untraced run of the same config comes first.  Each bound adds about
-    half a field.
+    half a field.  A sweep stays within a single run's bound: it holds the
+    last row's fusion, z_ref and z_fused, but no row's other latents, and
+    reads 4.53 fields at 4 x 128 x 128.
     """
 
     PEAK_FIELDS = {64: 4.8, 128: 4.7, 256: 4.6}
@@ -940,3 +1053,13 @@ class TestRunMemory:
     def test_ddpm_peak_at_256(self, refine_mode):
         peak = self.peak_fields(256, sampler="ddpm", refine_mode=refine_mode)
         assert peak < self.PEAK_FIELDS[256]
+
+    @pytest.mark.parametrize("harness", sorted(HARNESSES))
+    def test_sweep_peak_within_a_single_run_bound(self, harness):
+        from test_diffusion import peak_bytes
+
+        run, axis = HARNESSES[harness]
+        config = PipelineConfig(prompt=DEGRADED, seed=2, height=128, width=128)
+        run(config, axis)
+        peak = peak_bytes(lambda: run(config, axis))
+        assert peak / (8 * config.channels * 128 * 128) < self.PEAK_FIELDS[128]
