@@ -44,21 +44,28 @@ class StepRangeError(ValueError):
     pass
 
 
-class DegenerateStepError(ValueError):
-    """alpha_bar at the requested step is 1 (no noise to predict)."""
-
-
-class SingularStepError(ValueError):
-    """alpha_bar at the requested step is 0 (x0 not recoverable)."""
-
-
 @dataclass(frozen=True)
 class VarianceSchedule:
+    """T steps whose every alpha_bar lies in (0, 1), checked when built, so
+    the steps and chains divide by sqrt(abar) and sqrt(1 - abar) unchecked."""
+
     steps: int
     beta: np.ndarray
     alpha_bar: np.ndarray
     beta_start: float
     beta_end: float
+
+    def __post_init__(self):
+        # alpha_bar never rises, so its two ends bound every step's.
+        if not self.alpha_bar[0] < 1.0:  # no noise to predict
+            raise ScheduleError(
+                f"beta_start = {self.beta_start} is so small that alpha_bar == 1"
+            )
+        if not self.alpha_bar[-1] > 0.0:  # x0 not recoverable
+            raise ScheduleError(
+                f"alpha_bar underflows to 0 in {self.steps} steps from "
+                f"beta_start = {self.beta_start} to beta_end = {self.beta_end}"
+            )
 
     def abar(self, t: int) -> float:
         """alpha_bar for 1-based chain step t, with abar(0) := 1."""
@@ -103,7 +110,8 @@ class StrengthMap:
 def make_schedule(
     T: int, beta_start: float, beta_end: float, name: str = "T"
 ) -> VarianceSchedule:
-    """Linearly spaced betas; alpha_bar accumulated in 64-bit.
+    """Linearly spaced betas; alpha_bar accumulated in 64-bit, and checked
+    to lie in (0, 1) by VarianceSchedule.
 
     ``name`` is what a rejected step count is called in the error.  The
     schedule is memoised per (T, beta_start, beta_end) and its arrays are
@@ -171,8 +179,6 @@ def toy_denoiser(
     if not (0 <= t < sched.steps):
         raise StepRangeError(f"t must be in [0, {sched.steps}), got {t}")
     abar = float(sched.alpha_bar[t])
-    if abar >= 1.0:
-        raise DegenerateStepError("alpha_bar == 1: nothing to predict")
     anchor = synthesize_target(cond.embedding, *z_t.shape) / (1.0 + cond.guidance_scale)
     eps = (z_t.values - np.sqrt(abar) * anchor) / np.sqrt(1.0 - abar)
     return z_t.with_values(eps)
@@ -197,8 +203,6 @@ def predict_x0(
     if not (1 <= t <= sched.steps):
         raise StepRangeError(f"t must be in [1, {sched.steps}], got {t}")
     abar = sched.abar(t)
-    if abar <= 0.0:
-        raise SingularStepError("alpha_bar == 0: x0 not recoverable")
     out = (z_t.values - np.sqrt(1.0 - abar) * eps_hat.values) / np.sqrt(abar)
     return z_t.with_values(out)
 
@@ -206,9 +210,7 @@ def predict_x0(
 def ddim_step(
     z_t: LatentField, t: int, eps_hat: LatentField, sched: VarianceSchedule
 ) -> LatentField:
-    """Deterministic (eta = 0) update to step t-1."""
-    if not (1 <= t <= sched.steps):
-        raise StepRangeError(f"t must be in [1, {sched.steps}], got {t}")
+    """Deterministic (eta = 0) update to step t-1; predict_x0 checks t."""
     x0 = predict_x0(z_t, t, eps_hat, sched)
     abar_prev = sched.abar(t - 1)
     out = np.sqrt(abar_prev) * x0.values + np.sqrt(1.0 - abar_prev) * eps_hat.values
@@ -253,8 +255,6 @@ def _blend_coefficients(alpha: float, beta: float, abar: float, abar_prev: float
     """(a, b, sigma^2) of (1 - alpha) * z + alpha * ddim_step(z) + sqrt(beta) * n
     under the guided prediction.  x0 is the target, so the DDIM step is
     p * z + (sqrt(abar_prev) - p * sqrt(abar)) * T."""
-    if abar <= 0.0:
-        raise SingularStepError("alpha_bar == 0: x0 not recoverable")
     p = math.sqrt(1.0 - abar_prev) / math.sqrt(1.0 - abar)
     b = alpha * (math.sqrt(abar_prev) - p * math.sqrt(abar))
     return 1.0 - alpha + alpha * p, b, beta
@@ -265,10 +265,7 @@ def _gaussian_chain(sched: VarianceSchedule, step) -> tuple[float, float, float]
     updates: z_0 = A * z_T + c * T + sqrt(v) * n for one standard draw n."""
     A, c, v = 1.0, 0.0, 0.0
     for t in range(sched.steps, 0, -1):
-        abar = sched.abar(t)
-        if abar >= 1.0:
-            raise DegenerateStepError("alpha_bar == 1: nothing to predict")
-        a, b, var = step(float(sched.beta[t - 1]), abar, sched.abar(t - 1))
+        a, b, var = step(float(sched.beta[t - 1]), sched.abar(t), sched.abar(t - 1))
         A, c, v = a * A, a * c + b, a * a * v + var
     return A, c, v
 

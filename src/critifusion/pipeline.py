@@ -112,6 +112,8 @@ class PipelineConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         _check_dims(self.channels, self.height, self.width)
         _check_toy_dims(self.height, self.width)
+        # Each schedule checks its alpha_bar when built.  Underflow to 0 only
+        # grows with the step count, so the longest correction covers every T'.
         for name, steps in (
             ("steps", self.steps),  # sampling
             ("cadr.t_min + cadr.t_span", self.cadr.t_max),  # the longest correction
@@ -243,7 +245,7 @@ class _SharedBase:
 
     def __init__(self, latent: LatentField | None = None):
         self.latent = latent
-        self._fusion = None  # ((z_ref digest, rho, taper, clamp), z_ref, z_fused)
+        self._fusion = None  # ((rho, taper, clamp), z_ref, z_fused)
 
     @cached_property
     def digest(self) -> str:
@@ -253,14 +255,13 @@ class _SharedBase:
     def projection(self):
         return pattern_coefficients(self.latent.values)
 
-    def fuse(self, z_ref: LatentField, ref_digest: str, rho, taper, clamp):
+    def fuse(self, z_ref: LatentField, rho, taper, clamp):
         """``spec_fuse(z_ref, latent, ...)``, or the last fusion's output if
-        its input was the same: equal z_ref digest, rho, taper and clamp,
-        and z_ref equal bit for bit, which a float32 digest cannot confirm.
-        Any other input drops the held fusion before it fuses, so at most
+        its input was the same: equal rho, taper and clamp, and z_ref equal
+        bit for bit.  Any other input drops the held fusion before it fuses, so at most
         one is held.
         """
-        key = (ref_digest, rho, taper, clamp)
+        key = (rho, taper, clamp)
         held = self._fusion
         # As int64, the values compare bit for bit: 0.0 != -0.0.
         if (
@@ -450,7 +451,7 @@ def run_critifusion(
     else:
         z_fused = stage(
             "spec_fuse",
-            lambda: base.fuse(z_ref, ref_digest, params.rho, config.taper, config.clamp),
+            lambda: base.fuse(z_ref, params.rho, config.taper, config.clamp),
         )
     latents["z_fused"] = z_fused
     record.digests["z_fused"] = ref_digest if z_fused is z_ref else latent_digest(z_fused)
@@ -469,10 +470,10 @@ def _sweep(axis: str, rows, backend):
     No rows, or a repeated axis value, fails before any run.  Rows differ
     only downstream of ``base_sample``, so the first row samples the base
     latent and every later row reuses it, with its digest and pattern
-    projection.  The sweep holds one fusion, the last: a row whose z_ref,
-    rho, taper and clamp equal its input reuses its z_fused, and any other
-    row replaces it.  A failing row's StageFailure leaves with the rows
-    finished before it.
+    projection.  The sweep holds one fusion, the last: a row whose rho,
+    taper and clamp equal its input, and whose z_ref equals it bit for bit,
+    reuses its z_fused, and any other row replaces it.  A failing row's
+    StageFailure leaves with the rows finished before it.
     """
     values = [value for value, _, _ in rows]
     if not values:

@@ -10,6 +10,7 @@ import pytest
 
 from critifusion import cli, pipeline
 from critifusion.cadr import CadrConfig
+from critifusion.criticore import CommitteeConfig
 from critifusion.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main
 from critifusion.latents import MAGIC, MAX_CHANNELS, LatentField, write_latent
 from critifusion.pipeline import (
@@ -71,6 +72,19 @@ class TestGenerate:
         main(["generate", "--config", str(cfg_file), "--out", str(out), "--dump-image"])
         assert (out / "image.ppm").read_bytes().startswith(b"P6\n")
 
+    def test_one_channel_image_dump_is_gray(self, tmp_path):
+        cfg = tmp_path / "gray.cfg"
+        cfg.write_text("prompt = aurora\nchannels = 1\nheight = 16\nwidth = 24\n")
+        out = tmp_path / "run"
+        args = ["generate", "--config", str(cfg), "--out", str(out), "--dump-image"]
+        assert main(args) == EXIT_OK
+        blob = (out / "image.ppm").read_bytes()
+        header = b"P6\n24 16\n255\n"
+        assert blob.startswith(header)
+        pixels = np.frombuffer(blob[len(header):], np.uint8).reshape(16, 24, 3)
+        assert (pixels == pixels[..., :1]).all()  # the one channel, three times
+        assert pixels.min() < pixels.max()
+
 
 # Each row is rejected when the config is built, before any stage runs.
 INVALID = [
@@ -97,6 +111,18 @@ INVALID = [
     {"cadr.lam_min": -0.5},
     {"cadr.lam_span": 5},
     {"prompt": "aurora basalt", "taper": 0.9},  # complete prompt: CADR skips
+    # alpha_bar must lie in (0, 1) on every schedule.  1 - 1e-17 rounds to 1,
+    # and the longest correction, 16 + 984 steps of betas near 1, underflows
+    # to 0 though the 50 sampling steps do not.
+    {"beta_start": 1e-17},
+    {"beta_start": 0.99, "beta_end": 0.999, "cadr.t_span": 984},
+    # CommitteeConfig's five rules: each row fails if its raise is deleted.
+    {"committee.mode": "x"},
+    {"committee.mode": "mad", "committee.agents": 0},
+    {"committee.mode": "mad", "committee.rounds": 0},
+    {"committee.layer_widths": (3, 0)},
+    {"committee.k_edit": -1},
+    {"committee.k_hints": 0},
     # Deleted keys: no config names them any more.
     {"diffusion_backend": "toy"},
     {"base_guidance": 0},  # the toy's guidance scale cancels
@@ -115,8 +141,13 @@ TWO_ROWS = {
 }
 
 
+def cfg_value(value):
+    """A row's value as config text: tuples are comma-separated."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
 def row_id(row):
-    return ",".join(f"{k}={v}" for k, v in row.items())
+    return ",".join(f"{k}={cfg_value(v)}" for k, v in row.items())
 
 
 class TestErrors:
@@ -151,7 +182,8 @@ class TestErrors:
     def test_invalid_value_exit_2_no_record(self, tmp_path, capsys, row):
         bad = tmp_path / "bad.cfg"
         bad.write_text(
-            "prompt = aurora\n" + "".join(f"{k} = {v}\n" for k, v in row.items())
+            "prompt = aurora\n"
+            + "".join(f"{k} = {cfg_value(v)}\n" for k, v in row.items())
         )
         out = tmp_path / "o"
         code = main(["generate", "--config", str(bad), "--out", str(out)])
@@ -183,10 +215,16 @@ class TestErrors:
         ids=row_id,
     )
     def test_invalid_value_rejected_when_built(self, row):
-        cadr = {k[len("cadr."):]: v for k, v in row.items() if k.startswith("cadr.")}
-        rest = {k: v for k, v in row.items() if not k.startswith("cadr.")}
+        def section(prefix):
+            return {k[len(prefix):]: v for k, v in row.items() if k.startswith(prefix)}
+
+        rest = {k: v for k, v in row.items() if "." not in k}
         with pytest.raises(ValueError):
-            PipelineConfig(**{"prompt": "aurora", **rest}, cadr=CadrConfig(**cadr))
+            PipelineConfig(
+                **{"prompt": "aurora", **rest},
+                cadr=CadrConfig(**section("cadr.")),
+                committee=CommitteeConfig(**section("committee.")),
+            )
 
     def test_max_channels_builds(self):
         # 2**16 channels fit under MAX_ELEMENTS on the smallest toy grid.
@@ -532,6 +570,25 @@ class TestInspect:
 
     def test_missing_record(self, tmp_path):
         assert main(["inspect", str(tmp_path / "none.jsonl")]) == EXIT_CONFIG
+
+    def test_empty_record_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "record.jsonl"
+        path.write_text("", encoding="utf-8")
+        assert main(["inspect", str(path)]) == EXIT_CONFIG
+        assert "empty record file" in capsys.readouterr().err
+
+    def test_sweep_rows_and_blank_lines_are_skipped(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        main(["generate", "--config", str(cfg_file), "--out", str(out)])
+        path = out / "record.jsonl"
+        row = json.dumps({"kind": "sweep_row", "axis": "k", "axis_value": 0})
+        path.write_text(f"\n{row}\n\n{path.read_text()}  \n{row}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inspect", str(path)]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert text.count("skipping non-run line of kind 'sweep_row'") == 2
+        assert text.count("record: status=ok") == 1
+        assert text.count("verified") == 3
 
     @pytest.mark.parametrize(
         "lines, message",

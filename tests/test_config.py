@@ -65,9 +65,11 @@ cadrs = st.builds(
     t_span=st.integers(0, 50),
     skip_threshold=unit(exclude_min=True),
 )
-betas = st.lists(unit(exclude_min=True, exclude_max=True), min_size=2, max_size=2).map(
-    sorted
-)
+# Only betas whose schedules build, so alpha_bar stays in (0, 1): from 1e-16,
+# above the 2**-54 at which 1 - beta_start rounds to 1, up to 0.999, which
+# leaves at least 0.001 ** 100 > 0 after the at most 100 steps that `steps`
+# and `cadr.t_max` reach here.
+betas = st.lists(unit(1e-16, 0.999), min_size=2, max_size=2).map(sorted)
 configs = st.builds(
     lambda b, **kw: PipelineConfig(beta_start=b[0], beta_end=b[1], **kw),
     betas,

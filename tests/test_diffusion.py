@@ -26,9 +26,7 @@ from critifusion.diffusion import (
     CORRECTIVE_SEED_OFFSET,
     Conditioning,
     MAX_STEPS,
-    DegenerateStepError,
     ScheduleError,
-    SingularStepError,
     StepRangeError,
     VarianceSchedule,
     base_sample,
@@ -90,6 +88,32 @@ class TestSchedule:
             make_schedule(5, 0.3, 0.2)
         with pytest.raises(ScheduleError):
             make_schedule(5, 0.5, 1.0)
+        # alpha_bar must lie in (0, 1).  1 - beta_start rounds to 1 up to
+        # 2**-54, about 5.6e-17, so such a first step adds no noise.
+        for beta_start in (1e-17, 2.0**-54):
+            with pytest.raises(ScheduleError, match="beta_start"):
+                make_schedule(5, beta_start, 0.02)
+        assert make_schedule(5, 6e-17, 0.02).alpha_bar[0] < 1.0
+        # 262 steps of betas near 1 take alpha_bar below the least double.
+        with pytest.raises(ScheduleError, match="underflows"):
+            make_schedule(262, 0.99, 0.999)
+        assert make_schedule(100, 0.99, 0.999).alpha_bar[-1] > 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(betas=st.tuples(st.floats(0.05, 1.0 - 1e-16), st.floats(0.05, 1.0 - 1e-16)))
+    def test_underflow_is_monotone_in_the_step_count(self, betas):
+        """Past the first T at which alpha_bar underflows, every longer
+        schedule underflows too: a config that builds its longest
+        corrective schedule builds every shorter T'."""
+        builds = []
+        for T in range(1, MAX_STEPS + 1):
+            try:
+                make_schedule(T, *sorted(betas))
+            except ScheduleError:
+                builds.append(False)
+            else:
+                builds.append(True)
+        assert builds == sorted(builds, reverse=True)
 
     def test_memoised_per_key_and_read_only(self):
         s = make_schedule(37, 1e-4, 0.02)
@@ -171,11 +195,17 @@ class TestToyDenoiser:
         tgt = target_field(cond, 1, 16, 16)
         assert np.abs(x0.values - tgt.values).max() < 1e-7
 
+    def test_step_range(self):
+        s = make_schedule(2, 0.1, 0.2)
+        for t in (-1, 2):  # toy_denoiser indexes alpha_bar from 0
+            with pytest.raises(StepRangeError):
+                toy_denoiser(const_field(0.0), t, null_conditioning(), s)
+
     def test_degenerate_step(self):
+        # alpha_bar == 1 leaves nothing to predict: no such schedule builds.
         beta = np.array([1e-300])
-        s = VarianceSchedule(1, beta, np.array([1.0]), 1e-300, 1e-300)
-        with pytest.raises(DegenerateStepError):
-            toy_denoiser(const_field(0.0), 0, null_conditioning(), s)
+        with pytest.raises(ScheduleError):
+            VarianceSchedule(1, beta, np.array([1.0]), 1e-300, 1e-300)
 
 
 class TestCfg:
@@ -238,6 +268,12 @@ class TestDdimStep:
         expected = 0.9 * 0.875 + math.sqrt(0.19) * 0.5
         assert np.abs(out.values - expected).max() < 1e-9
 
+    def test_step_range(self):
+        s = two_step_64_81()
+        for t in (0, 3):
+            with pytest.raises(StepRangeError):
+                ddim_step(const_field(1.0), t, const_field(0.5), s)
+
     def test_full_chain_converges(self):
         s = make_schedule(20, 1e-4, 0.02)
         cond = Conditioning(embedding(1, 4), 0.0)
@@ -261,6 +297,12 @@ class TestDdpmStep:
         a = ddpm_step(const_field(1.0), 1, const_field(0.2), s, huge)
         b = ddpm_step(const_field(1.0), 1, const_field(0.2), s, const_field(0.0))
         assert np.abs(a.values - b.values).max() < 1e-9
+
+    def test_step_range(self):
+        s = make_schedule(2, 0.1, 0.2)
+        for t in (0, 3):
+            with pytest.raises(StepRangeError):
+                ddpm_step(const_field(1.0), t, const_field(0.2), s, const_field(0.0))
 
     def test_deterministic(self):
         s = make_schedule(3, 0.1, 0.2)
@@ -687,6 +729,13 @@ class TestGaussianChain:
     def test_coefficients_match_the_step_functions(
         self, T, betas, lam, w, dims, sampler, seed
     ):
+        abar = 1.0  # the schedule's last alpha_bar, in plain floats
+        for beta in np.linspace(*betas, T):
+            abar *= 1.0 - float(beta)
+        if abar == 0.0:
+            with pytest.raises(ScheduleError, match="underflows"):
+                make_schedule(T, *betas)
+            return
         s = make_schedule(T, *betas)
         cond = Conditioning(embedding(1, 6, 11), w)
 
@@ -699,12 +748,7 @@ class TestGaussianChain:
             step = diffusion._ddpm_coefficients
         else:
             step = partial(diffusion._blend_coefficients, lam)
-        try:
-            A, c, v = diffusion._gaussian_chain(s, step)
-        except SingularStepError:  # abar underflowed to 0
-            with pytest.raises(SingularStepError):
-                chain(sample_gaussian_latent(*dims, seed), cond, zero_noise(T, *dims))
-            return
+        A, c, v = diffusion._gaussian_chain(s, step)
         z = sample_gaussian_latent(*dims, seed)
         target = target_field(cond, *dims).values
         for eps in (ref_guided_eps, two_branch_eps):

@@ -236,6 +236,58 @@ class TestEveryPromptCritiqued:
         assert [int(j) for j in rec.clause_scores][: len(named)] == named
 
 
+# Betas log-uniform from 1e-20 to 1: some leave 1 - beta_start == 1, and
+# some underflow alpha_bar to 0 within the longer schedules.
+log_betas = st.floats(-20.0, 0.0, exclude_max=True).map(lambda e: 10.0**e)
+step_counts = st.integers(1, diffusion.MAX_STEPS)
+
+
+class TestEveryBuiltConfigRuns:
+    """A config checks its schedules when it is built, so a config that
+    builds never fails on its schedule at run time, and every corrective
+    T' it can pick has a schedule that builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prompt=prompts(),
+        betas=st.tuples(log_betas, log_betas).map(sorted),
+        steps=step_counts,
+        t_range=st.tuples(step_counts, step_counts).map(sorted),
+        sampler=st.sampled_from(diffusion.SAMPLERS),
+        refine_mode=st.sampled_from(diffusion.REFINE_MODES),
+        mode=st.sampled_from(["moa", "mad"]),
+        width=st.integers(1, vocab.MAX_AGENTS),
+        dims=st.tuples(st.integers(1, 2), st.integers(16, 40), st.integers(16, 40)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_config_that_builds_runs(
+        self, prompt, betas, steps, t_range, sampler, refine_mode, mode, width,
+        dims, seed,
+    ):
+        (beta_start, beta_end), (t_min, t_max) = betas, t_range
+        try:
+            cfg = PipelineConfig(
+                prompt=prompt,
+                channels=dims[0],
+                height=dims[1],
+                width=dims[2],
+                steps=steps,
+                beta_start=beta_start,
+                beta_end=beta_end,
+                sampler=sampler,
+                refine_mode=refine_mode,
+                seed=seed,
+                committee=CommitteeConfig(mode=mode, agents=width, layer_widths=(width,)),
+                cadr=CadrConfig(t_min=t_min, t_span=t_max - t_min),
+            )
+        except diffusion.ScheduleError:
+            return  # rejected when built
+        for T_prime in range(t_min, t_max + 1):
+            diffusion.make_schedule(T_prime, beta_start, beta_end)
+        rec, _ = run_critifusion(cfg)
+        assert rec.status == "ok"
+
+
 class FailingBackend:
     def respond(self, agent_id, request):
         raise AgentTransportError("injected outage", status=503, agent_id=agent_id)
