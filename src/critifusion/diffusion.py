@@ -113,10 +113,11 @@ def make_schedule(
     """Linearly spaced betas; alpha_bar accumulated in 64-bit, and checked
     to lie in (0, 1) by VarianceSchedule.
 
-    ``name`` is what a rejected step count is called in the error.  The
-    schedule is memoised per (T, beta_start, beta_end) and its arrays are
-    read-only: a run, its corrective pass and its config's checks ask for
-    the same few schedules over and over.
+    ``name`` is what the schedule's step count is called in the errors: a
+    rejected step count, or an alpha_bar out of range.  The schedule is
+    memoised per (T, beta_start, beta_end) and its arrays are read-only: a
+    run, its corrective pass and its config's checks ask for the same few
+    schedules over and over.
     """
     if not (1 <= T <= MAX_STEPS):
         raise ScheduleError(f"{name} must be in [1, {MAX_STEPS}], got {T}")
@@ -124,7 +125,10 @@ def make_schedule(
         raise ScheduleError(
             f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"
         )
-    return _schedule(T, beta_start, beta_end)
+    try:
+        return _schedule(T, beta_start, beta_end)
+    except ScheduleError as exc:
+        raise ScheduleError(f"{name}: {exc}") from exc
 
 
 # An entry holds at most 2 x MAX_STEPS floats, 16 KB; a default config asks

@@ -235,17 +235,12 @@ class _AgentCalls:
         return resp
 
 
-class _SharedBase:
-    """A base latent with its digest and pattern projection, each computed
-    at most once, and the last fusion made on it.  A sweep hands one to
-    every row: the first row sets the latent it sampled, and the later rows
-    neither hash nor project it again, nor fuse an input equal to the last
-    one's.
-    """
+class _Held:
+    """A latent with its digest and pattern projection, each computed at
+    most once."""
 
-    def __init__(self, latent: LatentField | None = None):
+    def __init__(self, latent: LatentField):
         self.latent = latent
-        self._fusion = None  # ((rho, taper, clamp), z_ref, z_fused)
 
     @cached_property
     def digest(self) -> str:
@@ -255,25 +250,44 @@ class _SharedBase:
     def projection(self):
         return pattern_coefficients(self.latent.values)
 
-    def fuse(self, z_ref: LatentField, rho, taper, clamp):
-        """``spec_fuse(z_ref, latent, ...)``, or the last fusion's output if
-        its input was the same: equal rho, taper and clamp, and z_ref equal
-        bit for bit.  Any other input drops the held fusion before it fuses, so at most
-        one is held.
-        """
+
+class _SharedBase:
+    """The last row's latents: the base, the last refinement made on it and
+    the last fusion made from that, each ``_Held`` so that it is hashed and
+    projected at most once.  A sweep hands one to every row: the first row
+    sets the base it sampled; a later row whose refinement input equals the
+    last one's gets the same z_ref back, and, if its rho, taper and clamp
+    equal the last fusion's too, the same z_fused.  A new refinement drops
+    the held refinement and fusion before it is made, and a new fusion the
+    held fusion, so a sweep holds the base and one z_ref and z_fused at most.
+    """
+
+    def __init__(self, latent: LatentField | None = None):
+        self.base = None if latent is None else _Held(latent)
+        self._refinement = None  # (key, z_ref)
+        self._fusion = None  # ((rho, taper, clamp), z_ref, z_fused)
+
+    def refine(self, key, make) -> _Held:
+        """The held z_ref if ``key`` is its key, else ``make()``'s output."""
+        held = self._refinement
+        if held is not None and held[0] == key:
+            return held[1]
+        self._refinement = self._fusion = held = None
+        z_ref = _Held(make())
+        self._refinement = (key, z_ref)
+        return z_ref
+
+    def fuse(self, z_ref: _Held, rho, taper, clamp) -> _Held:
+        """``spec_fuse(z_ref, base, ...)``, or the held fusion if it was made
+        from this same z_ref object with equal rho, taper and clamp."""
         key = (rho, taper, clamp)
         held = self._fusion
-        # As int64, the values compare bit for bit: 0.0 != -0.0.
-        if (
-            held is not None
-            and held[0] == key
-            and np.array_equal(
-                held[1].values.view(np.int64), z_ref.values.view(np.int64)
-            )
-        ):
+        if held is not None and held[1] is z_ref and held[0] == key:
             return held[2]
         self._fusion = held = None
-        z_fused = spec_fuse(z_ref, self.latent, rho, TaperSpec(taper), clamp)
+        z_fused = _Held(
+            spec_fuse(z_ref.latent, self.base.latent, rho, TaperSpec(taper), clamp)
+        )
         self._fusion = (key, z_ref, z_fused)
         return z_fused
 
@@ -305,9 +319,12 @@ def run_critifusion(
     in [0, t_max].  The toy's img2img pass lands on the enhanced prompt's
     target for every k, so k > 0 reaches only the recorded T'.  Blend
     refinement ignores k, so ``forced_k`` needs ``refine_mode = img2img``.
-    ``_base``, from a sweep, stands in for ``base_latent``; it fuses, and
-    a row whose fusion input equals the last row's gets that row's
-    ``z_fused`` back.  Every other stage, and every digest, is the row's own.
+    ``_base``, from a sweep, stands in for ``base_latent`` and holds the
+    last row's latents: a row whose refinement input (mode, conditioning,
+    T', beta endpoints and, for blend, lambda and seed) equals the last
+    one's gets that ``z_ref`` back, and if its rho, taper and clamp match
+    too, that ``z_fused``; a latent it gets back keeps its digest and
+    projection.  Every other stage is the row's own.
     """
     unknown = set(disable) - set(ABLATABLE)
     if unknown:
@@ -316,10 +333,12 @@ def run_critifusion(
         if config.refine_mode != "img2img":
             raise SweepConfigError("forced_k needs refine_mode = img2img")
         _check_k(forced_k, config)
-    base = _base if _base is not None else _SharedBase(base_latent)
+    shared = _base if _base is not None else _SharedBase(base_latent)
     expected = (config.channels, config.height, config.width)
-    if base.latent is not None and base.latent.shape != expected:
-        raise LatentError(f"base latent shape {base.latent.shape} is not {expected}")
+    if shared.base is not None and shared.base.latent.shape != expected:
+        raise LatentError(
+            f"base latent shape {shared.base.latent.shape} is not {expected}"
+        )
     record = RunRecord(
         config_digest=config.digest(),
         base_seed=config.seed,
@@ -355,30 +374,31 @@ def run_critifusion(
         record.stages.append(name)
         return result
 
-    z_base = stage(
-        "base_sample",
-        lambda: base.latent
-        if base.latent is not None
-        else base_sample(
-            conditioning_from_prompt(bundle),
-            sched,
-            config.sampler,
-            config.seed,
-            config.channels,
-            config.height,
-            config.width,
-        ),
-    )
-    base.latent = latents["z_base"] = z_base
+    def sample():
+        if shared.base is None:
+            shared.base = _Held(
+                base_sample(
+                    conditioning_from_prompt(bundle),
+                    sched,
+                    config.sampler,
+                    config.seed,
+                    config.channels,
+                    config.height,
+                    config.width,
+                )
+            )
+        return shared.base
+
+    base = stage("base_sample", sample)
+    latents["z_base"] = base.latent
     record.digests["z_base"] = base.digest
 
-    def decode(z: LatentField):
+    def decode(z: _Held):
         # The critique reads an image only as its pattern coefficients, and
         # decoding's division by gamma commutes with the projection.
-        projection = base.projection if z is z_base else pattern_coefficients(z.values)
-        return projection / config.gamma
+        return z.projection / config.gamma
 
-    coefs = stage("decode", lambda: decode(z_base))
+    coefs = stage("decode", lambda: decode(base))
 
     if "vlm" in disable:
         hints = stage("vlm_hints", lambda: [])
@@ -427,34 +447,49 @@ def run_critifusion(
     record.cadr = asdict(params)
 
     skip = params.T_prime == 0 or forced_k == 0
+    # A stage that passes its input through passes its digest and projection
+    # on too.
     if skip:
-        z_ref = stage("img2img_refine", lambda: z_base)
+        z_ref = stage("img2img_refine", lambda: base)
     else:
         cond_ref = conditioning_from_prompt(enhanced)
+        # What the pass reads, as plain values (a schedule's == compares
+        # arrays and raises).  Only blend reads lambda, the seed's noise and
+        # the base's values; the base is the sweep's.
+        key = (
+            config.refine_mode,
+            cond_ref.embedding.tobytes(),
+            params.T_prime,
+            sched.beta_start,
+            sched.beta_end,
+        )
+        if config.refine_mode == "blend":
+            key += (params.lam, config.seed)
         z_ref = stage(
             "img2img_refine",
-            lambda: img2img_refine(
-                z_base,
-                cond_ref,
-                params,
-                sched,
-                config.seed,
-                mode=config.refine_mode,
+            lambda: shared.refine(
+                key,
+                lambda: img2img_refine(
+                    base.latent,
+                    cond_ref,
+                    params,
+                    sched,
+                    config.seed,
+                    mode=config.refine_mode,
+                ),
             ),
         )
-    latents["z_ref"] = z_ref
-    # A stage that passed its input through passes its digest on too.
-    ref_digest = base.digest if z_ref is z_base else latent_digest(z_ref)
-    record.digests["z_ref"] = ref_digest
+    latents["z_ref"] = z_ref.latent
+    record.digests["z_ref"] = z_ref.digest
     if skip or "specfusion" in disable:
         z_fused = stage("spec_fuse", lambda: z_ref)
     else:
         z_fused = stage(
             "spec_fuse",
-            lambda: base.fuse(z_ref, params.rho, config.taper, config.clamp),
+            lambda: shared.fuse(z_ref, params.rho, config.taper, config.clamp),
         )
-    latents["z_fused"] = z_fused
-    record.digests["z_fused"] = ref_digest if z_fused is z_ref else latent_digest(z_fused)
+    latents["z_fused"] = z_fused.latent
+    record.digests["z_fused"] = z_fused.digest
 
     final_report = stage(
         "decode_final", lambda: score_clauses(report.clauses, decode(z_fused))
@@ -469,11 +504,12 @@ def _sweep(axis: str, rows, backend):
 
     No rows, or a repeated axis value, fails before any run.  Rows differ
     only downstream of ``base_sample``, so the first row samples the base
-    latent and every later row reuses it, with its digest and pattern
-    projection.  The sweep holds one fusion, the last: a row whose rho,
-    taper and clamp equal its input, and whose z_ref equals it bit for bit,
-    reuses its z_fused, and any other row replaces it.  A failing row's
-    StageFailure leaves with the rows finished before it.
+    latent and every later row reuses it.  The sweep holds the last row's
+    refinement and fusion: a row whose refinement input equals the last
+    one's reuses its z_ref, and then, with equal rho, taper and clamp, its
+    z_fused; any other row replaces them.  Each latent the sweep holds is
+    hashed and projected once.  A failing row's StageFailure leaves with
+    the rows finished before it.
     """
     values = [value for value, _, _ in rows]
     if not values:

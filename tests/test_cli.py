@@ -195,6 +195,29 @@ class TestErrors:
         named = (rf"(?<![\w.]){re.escape(key)}(?![\w.])" for key in row)
         assert any(re.search(pattern, err) for pattern in named), err
 
+    @pytest.mark.parametrize(
+        "row, key",
+        [
+            (
+                {"beta_start": 0.99, "beta_end": 0.999, "cadr.t_span": 984},
+                "cadr.t_span",
+            ),
+            ({"beta_start": 1e-17}, "steps"),
+        ],
+        ids=["longest_correction", "sampling"],
+    )
+    def test_alpha_bar_rejection_names_its_schedule(self, tmp_path, capsys, row, key):
+        # Both rows name beta_start too; the message must also say which
+        # schedule's step count it is.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            "prompt = aurora\n" + "".join(f"{k} = {v}\n" for k, v in row.items())
+        )
+        code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", err), err
+
     @pytest.mark.parametrize("key", ["agent.timeout", "agent.backoff"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_agent_timing_exit_2_no_record(self, tmp_path, key, value):
@@ -255,6 +278,14 @@ class TestErrors:
     def test_empty_sweep_list_exit_2_no_rows(self, tmp_path, cfg_file, argv):
         out = tmp_path / "o"
         code = main(argv + ["--config", str(cfg_file), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_non_integer_k_exit_2_no_outputs(self, tmp_path, cfg_file):
+        out = tmp_path / "o"
+        code = main(
+            ["sweep-k", "--config", str(cfg_file), "--out", str(out), "--k", "1,x"]
+        )
         assert code == EXIT_CONFIG
         assert not out.exists()
 

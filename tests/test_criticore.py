@@ -58,6 +58,10 @@ class TestPromptBundle:
         assert b.tokens == ("aurora", "basalt")
         assert b.salience == (0.5, 0.5)
 
+    def test_tokens_and_salience_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            PromptBundle(("a", "b"), (0.5,))
+
     def test_salience_range(self):
         with pytest.raises(ValueError):
             PromptBundle(("a",), (1.5,))
@@ -296,6 +300,15 @@ class TestScoring:
         scores = [c.score for c in report.clauses]
         assert scores == pytest.approx([1.0, 0.5, 0.25], abs=1e-9)
         assert report.mean_score == pytest.approx((1 + 0.5 + 0.25) / 3, abs=1e-9)
+
+    def test_clause_text_must_be_nonempty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            Clause(0, (), "entity")
+
+    @pytest.mark.parametrize("score", [-0.1, 1.5])
+    def test_clause_score_must_lie_in_the_unit_interval(self, score):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Clause(0, ("aurora",), "entity", score=score)
 
     def test_no_clauses_give_an_empty_report_scoring_one(self):
         report = score_clauses([], coefs_from_weights(weights()))

@@ -153,6 +153,11 @@ class TestForwardNoise:
         with pytest.raises(StepRangeError):
             forward_noise(const_field(0.0), 2, s, const_field(0.0))
 
+    def test_shape_mismatch(self):
+        s = make_schedule(2, 0.1, 0.2)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            forward_noise(const_field(0.0), 1, s, const_field(0.0, h=3))
+
 
 class TestConditioning:
     @pytest.mark.parametrize(
@@ -167,6 +172,14 @@ class TestConditioning:
     def test_non_finite_rejected(self, embedding, scale):
         with pytest.raises(ValueError):
             Conditioning(embedding, scale)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            Conditioning(np.zeros(15))
+
+    def test_negative_scale_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            Conditioning(np.zeros(16), -1.0)
 
 
 class TestToyDenoiser:
@@ -517,6 +530,15 @@ class TestTargetField:
         for j in range(16):
             want = 1.0 if j in (0, 7) else 0.0
             assert abs(coefs[j] - want) < 1e-9
+
+    def test_weights_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            basis.synthesize_target(np.zeros(15), 1, 16, 16)
+
+    @pytest.mark.parametrize("index", [-1, 16])
+    def test_basis_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match="basis index"):
+            basis.basis_frequencies(index, 16, 16)
 
     def test_basis_orthogonality(self):
         planes = [basis_plane(j, 32, 32) for j in range(16)]

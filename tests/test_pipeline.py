@@ -984,6 +984,132 @@ class TestSharedFusion:
         assert live_after_row == [1] * len(configs)
 
 
+def refine_input(config, kwargs, record):
+    """What a row's corrective pass reads, or None if it passes z_base on."""
+    if record.cadr["T_prime"] == 0 or kwargs.get("forced_k") == 0:
+        return None
+    cond = tuple(sorted(vocab.descriptor_indices(record.enhanced_tokens)))
+    T_prime = record.cadr["T_prime"]
+    out = (config.refine_mode, cond, T_prime, config.beta_start, config.beta_end)
+    if config.refine_mode == "blend":
+        out += (record.cadr["lam"], config.seed)
+    return out
+
+
+@pytest.fixture()
+def pipeline_calls(monkeypatch):
+    """(args, output) of each call through ``pipeline.img2img_refine``,
+    ``pipeline.latent_digest`` and ``pipeline.pattern_coefficients``."""
+    calls = {}
+    for name in ("img2img_refine", "latent_digest", "pattern_coefficients"):
+        original, calls[name] = getattr(pipeline, name), []
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            out = _original(*args, **kwargs)
+            calls[_name].append((args, out))
+            return out
+
+        monkeypatch.setattr(pipeline, name, counting)
+    return calls
+
+
+class TestSharedRefinement:
+    """A sweep refines each run of equal consecutive refinement inputs once,
+    holds one refinement at most, and hashes and projects each latent it
+    holds once; every row still equals an independent run."""
+
+    @pytest.mark.parametrize(
+        "harness, refine_mode",
+        [(h, "img2img") for h in sorted(HARNESSES)]
+        + [("ablate", "blend"), ("sweep_ensemble", "blend")],
+    )
+    def test_one_refinement_digest_and_projection_per_run_of_equal_inputs(
+        self, pipeline_calls, sweep_runs, harness, refine_mode
+    ):
+        run, _ = HARNESSES[harness]
+        axis = {"sweep_k": range(0, 31, 5), "ablate": ABLATABLE}.get(
+            harness, range(1, 6)
+        )
+        run(PipelineConfig(prompt=DEGRADED, seed=2, refine_mode=refine_mode), axis)
+        inputs = [refine_input(c, kw, r) for c, kw, r, _ in sweep_runs]
+        inputs = [i for i in inputs if i is not None]
+        runs = [key for key, _ in itertools.groupby(inputs)]
+        refined = [out for _, out in pipeline_calls["img2img_refine"]]
+        assert len(refined) == len(runs) < len(inputs)
+        # Each latent the rows report is hashed once, and the base and each
+        # latent a row scores is projected once.
+        held = {id(z): z for *_, lat in sweep_runs for z in lat.values()}
+        hashed = [id(args[0]) for args, _ in pipeline_calls["latent_digest"]]
+        assert sorted(hashed) == sorted(held)
+        scored = {
+            id(lat[name].values)
+            for *_, lat in sweep_runs
+            for name in ("z_base", "z_fused")
+        }
+        projected = [id(args[0]) for args, _ in pipeline_calls["pattern_coefficients"]]
+        assert sorted(projected) == sorted(scored)
+        for config, kwargs, record, latents in sweep_runs:
+            public = {k: v for k, v in kwargs.items() if not k.startswith("_")}
+            alone, alone_latents = run_critifusion(config, **public)
+            assert without_wall_clock(record) == without_wall_clock(alone)
+            for name, field in latents.items():
+                assert field.values.tobytes() == alone_latents[name].values.tobytes()
+
+    def test_alternating_conditioning_refines_each_time_and_holds_one(
+        self, monkeypatch
+    ):
+        refined, live_at_refine, live_after_row, records = [], [], [], []
+        original_refine = pipeline.img2img_refine
+        original_run = pipeline.run_critifusion
+
+        def refine(*args, **kwargs):
+            live_at_refine.append(sum(ref() is not None for ref in refined))
+            out = original_refine(*args, **kwargs)
+            refined.append(weakref.ref(out))
+            return out
+
+        def run(*args, **kwargs):
+            records.append(original_run(*args, **kwargs)[0])
+            live_after_row.append(sum(ref() is not None for ref in refined))
+            return records[-1], None
+
+        monkeypatch.setattr(pipeline, "img2img_refine", refine)
+        monkeypatch.setattr(pipeline, "run_critifusion", run)
+        # Each row's enhanced prompt, and so its conditioning, is not the
+        # last row's.
+        first = PipelineConfig(prompt=DEGRADED, seed=2)
+        configs = [replace(first, prompt=p) for p in ("aurora", "cobalt") * 3]
+        pipeline._sweep("row", [(i, c, {}) for i, c in enumerate(configs)], None)
+        assert all(r.cadr["T_prime"] > 0 for r in records)
+        assert len({tuple(r.enhanced_tokens) for r in records}) == 2
+        assert len(refined) == len(configs)
+        assert live_at_refine == [0] * len(configs)
+        assert live_after_row == [1] * len(configs)
+
+    def test_blend_rows_that_differ_only_in_lambda_refine_each_row(
+        self, pipeline_calls, sweep_runs
+    ):
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2, refine_mode="blend")
+        lams = (0.12, 0.3, 0.3, 0.12)
+        rows = [
+            (i, replace(cfg, cadr=CadrConfig(lam_min=x)), {})
+            for i, x in enumerate(lams)
+        ]
+        pipeline._sweep("row", rows, None)
+        # rho, T' and the conditioning stay; only lambda moves z_ref.
+        assert len({(r.cadr["rho"], r.cadr["T_prime"]) for *_, r, _ in sweep_runs}) == 1
+        assert len({tuple(r.enhanced_tokens) for _, _, r, _ in sweep_runs}) == 1
+        assert len(pipeline_calls["img2img_refine"]) == 3
+        refs = [lat["z_ref"] for *_, lat in sweep_runs]
+        assert refs[1] is refs[2]
+        assert refs[0].values.tobytes() != refs[1].values.tobytes()
+        for config, _, record, latents in sweep_runs:
+            alone, alone_latents = run_critifusion(config)
+            assert without_wall_clock(record) == without_wall_clock(alone)
+            z_ref = latents["z_ref"].values.tobytes()
+            assert z_ref == alone_latents["z_ref"].values.tobytes()
+
+
 class TestSerialization:
     def test_record_round_trip(self, tmp_path):
         rec, _ = run_critifusion(PipelineConfig(prompt=DEGRADED, seed=9))

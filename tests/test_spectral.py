@@ -84,6 +84,10 @@ class TestInverse:
         with pytest.raises(SymmetryViolationError):
             inverse_spectrum(Spectrum(1, 8, 8, coeffs))
 
+    def test_coefficient_shape_must_match(self):
+        with pytest.raises(SpectralError, match="does not match"):
+            Spectrum(1, 4, 4, np.zeros((1, 4, 5), dtype=complex))
+
     def test_dc_only_inverse_is_constant(self):
         coeffs = np.zeros((1, 4, 4), dtype=complex)
         c = 1.75
@@ -159,6 +163,10 @@ class TestMask:
                 want = np.fft.ifftshift(full)[:, : w // 2 + 1]
                 got = spectral._half_plane_mask(h, w, rho, taper)
                 assert got.tobytes() == want.tobytes(), (rho, taper)
+
+    def test_mask_plane_rejects_a_shape_mismatch(self):
+        with pytest.raises(SpectralError, match="shape"):
+            MaskPlane(2, 2, np.zeros((2, 3)))
 
     def test_mask_plane_rejects_out_of_range(self):
         with pytest.raises(SpectralError):
