@@ -11,7 +11,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from critifusion import diffusion, pipeline, vocab
 from critifusion.agents import AgentTransportError, MockAgentBackend, mock_respond
@@ -1108,6 +1108,94 @@ class TestSharedRefinement:
             assert without_wall_clock(record) == without_wall_clock(alone)
             z_ref = latents["z_ref"].values.tobytes()
             assert z_ref == alone_latents["z_ref"].values.tobytes()
+
+
+CADR_VARIANTS = (
+    CadrConfig(),
+    CadrConfig(t_min=4, t_span=6),
+    CadrConfig(skip_threshold=0.5),
+    CadrConfig(lam_min=0.3, rho_min=0.4, rho_span=0.5),
+    CadrConfig(t_min=2, t_span=0, lam_span=0.0, rho_span=0.0),
+)
+
+
+@st.composite
+def committees(draw):
+    mode = draw(st.sampled_from(["moa", "mad"]))
+    widths = st.integers(1, vocab.MAX_AGENTS)
+    return CommitteeConfig(
+        mode=mode,
+        agents=draw(st.integers(1, 3)),
+        rounds=draw(st.integers(1, 2)),
+        layer_widths=tuple(draw(st.lists(widths, min_size=1, max_size=2))),
+        k_edit=draw(st.integers(0, 6)),
+        k_hints=draw(st.integers(1, 6)),
+    )
+
+
+@st.composite
+def sweep_rows(draw):
+    """(config, run kwargs) rows that share every field deciding the base.
+
+    Rows are drawn from two or three variants, so a variant, and with it a
+    critique, often comes back after a different row.
+    """
+    base = PipelineConfig(
+        prompt=draw(prompts()),
+        channels=draw(st.integers(1, 2)),
+        height=draw(st.integers(16, 33)),
+        width=draw(st.integers(16, 47)),
+        steps=draw(st.integers(2, 30)),
+        beta_start=draw(st.sampled_from([1e-4, 5e-4])),
+        beta_end=draw(st.sampled_from([0.01, 0.02, 0.05])),
+        sampler=draw(st.sampled_from(diffusion.SAMPLERS)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        budget=draw(st.integers(1, 12)),
+    )
+    variants = []
+    for _ in range(draw(st.integers(2, 3))):
+        config = replace(
+            base,
+            gamma=draw(st.sampled_from([1.0, 0.5])),
+            refine_mode=draw(st.sampled_from(diffusion.REFINE_MODES)),
+            taper=draw(st.sampled_from([0.0, 0.1, 0.5])),
+            clamp=draw(st.booleans()),
+            committee=draw(committees()),
+            cadr=draw(st.sampled_from(CADR_VARIANTS)),
+            degrade=draw(st.sampled_from(["abort", "allow"])),
+        )
+        kwargs = {}
+        disable = draw(st.sets(st.sampled_from(ABLATABLE)))
+        if disable:
+            kwargs["disable"] = frozenset(disable)
+        if config.refine_mode == "img2img" and draw(st.booleans()):
+            kwargs["forced_k"] = draw(st.integers(0, config.cadr.t_max))
+        variants.append((config, kwargs))
+    return draw(st.lists(st.sampled_from(variants), min_size=1, max_size=6))
+
+
+class TestSweepDifferential:
+    """Any rows that share a base give, row by row, an independent run's
+    record and latents: whatever a sweep shares between rows, its keys
+    must tell apart every input a row reads."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rows=sweep_rows())
+    def test_every_row_equals_an_independent_run(self, sweep_runs, rows):
+        sweep_runs.clear()
+        pipeline._sweep("row", [(i, c, kw) for i, (c, kw) in enumerate(rows)], None)
+        assert len(sweep_runs) == len(rows)
+        for config, kwargs, record, latents in sweep_runs:
+            public = {k: v for k, v in kwargs.items() if not k.startswith("_")}
+            alone, alone_latents = run_critifusion(config, **public)
+            assert without_wall_clock(record) == without_wall_clock(alone)
+            for name in ("z_base", "z_ref", "z_fused"):
+                got = latents[name].values.tobytes()
+                assert got == alone_latents[name].values.tobytes(), name
 
 
 class TestSerialization:
