@@ -19,7 +19,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from urllib.parse import urlsplit
 
 from . import vocab
@@ -30,6 +30,9 @@ TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
 # Idle keep-alive connections a pool keeps; a connection returned to a full
 # pool is closed.
 MAX_IDLE = 10
+# Distinct requests whose mock answers are kept; an entry is one request and
+# its answer, a few hundred bytes.
+MOCK_ANSWERS = 1024
 
 
 class AgentError(Exception):
@@ -114,8 +117,10 @@ def make_request(directive: str, text: str) -> AgentRequest:
     return AgentRequest(messages=(("system", directive), ("user", text)))
 
 
+@lru_cache(maxsize=MOCK_ANSWERS)
 def mock_respond(agent_id: int, request: AgentRequest) -> AgentResponse:
-    """Deterministic committee stand-in.
+    """Deterministic committee stand-in, memoised: the answer is a pure
+    function of its frozen arguments.
 
     ``propose``: extract descriptors, add each one's paired descriptor,
     keep those inside the agent's coverage, and emit them in ascending

@@ -73,6 +73,18 @@ def synthesize_target(
     return np.broadcast_to(plane, (channels, height, width))
 
 
+# Each entry keeps its grid's two cosine tables alive, about 1 MB at
+# 4096 x 4096.
+@functools.lru_cache(maxsize=8)
+def _projection_tables(height: int, width: int):
+    """The bank's H x N and W x N cosine tables and its N squared norms."""
+    a, b = zip(*(basis_frequencies(j, height, width) for j in range(N_BASIS)))
+    cos_y, cos_x = _cosines(a, height), _cosines(b, width)
+    norms = np.sum(cos_y**2, axis=0) * np.sum(cos_x**2, axis=0)
+    norms.flags.writeable = False
+    return cos_y, cos_x, norms
+
+
 def pattern_coefficients(values: np.ndarray) -> np.ndarray:
     """Projections of a C x H x W field onto every pattern of the bank.
 
@@ -82,7 +94,6 @@ def pattern_coefficients(values: np.ndarray) -> np.ndarray:
     and one W x N cosine matrix and no H x W plane is built.
     """
     _, height, width = values.shape
-    a, b = zip(*(basis_frequencies(j, height, width) for j in range(N_BASIS)))
-    cos_y, cos_x = _cosines(a, height), _cosines(b, width)
+    cos_y, cos_x, norms = _projection_tables(height, width)
     inner = np.sum(cos_y * (values.mean(axis=0) @ cos_x), axis=0)
-    return inner / (np.sum(cos_y**2, axis=0) * np.sum(cos_x**2, axis=0))
+    return inner / norms

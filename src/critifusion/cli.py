@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agents import AgentError, HttpAgentBackend, MockAgentBackend
+from .agents import AgentError, HttpAgentBackend
 from .config import ConfigError, load_config
 from .latents import LatentError, latent_digest, read_latent, write_latent
 from .pipeline import (
@@ -83,9 +83,11 @@ def _load(args):
 
 
 def _make_backend(config, endpoint):
+    """The HTTP backend, or None for the built-in mock, whose answers a
+    sweep may reuse across rows."""
     if config.agent_backend == "http":
         return HttpAgentBackend(endpoint)
-    return MockAgentBackend()
+    return None
 
 
 def _int_list(raw: str):

@@ -8,7 +8,7 @@ against its unit target coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,7 +239,7 @@ def score_clauses(clauses, coefs: np.ndarray) -> CritiqueReport:
     for clause in clauses:
         coef = float(coefs[clause.clause_id])
         mse = (coef - 1.0) ** 2
-        scored.append(replace(clause, score=1.0 / (1.0 + mse)))
+        scored.append(Clause(clause.clause_id, clause.text, clause.kind, 1.0 / (1.0 + mse)))
     mean = sum(c.score for c in scored) / len(scored)
     return CritiqueReport(clauses=tuple(scored), mean_score=mean)
 
@@ -251,8 +251,6 @@ def merge_topk(base: PromptBundle, clauses, k_edit: int) -> PromptBundle:
     pruned first; after that, the lowest-salience tokens go (ties resolved
     from the end), so base filler is dropped before fresh edits.
     """
-    if k_edit < 0:
-        raise ValueError("k_edit must be >= 0")
     K = base.budget
     scored = [c for c in clauses if c.score is not None]
     scored.sort(key=lambda c: (c.score, c.clause_id))

@@ -7,18 +7,20 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, is_dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
 
 from . import vocab
 from .agents import AgentError, MockAgentBackend, mock_respond
-from .basis import _check_toy_dims, pattern_coefficients
+from .basis import N_BASIS, _check_toy_dims, pattern_coefficients
 from .cadr import CadrConfig, cadr_from_alignment
 from .criticore import (
     DEFAULT_BUDGET,
     CommitteeConfig,
+    CritiqueReport,
+    PromptBundle,
     committee_instruction,
     conditioning_from_prompt,
     decompose_clauses,
@@ -33,6 +35,7 @@ from .diffusion import (
     CORRECTIVE_SEED_OFFSET,
     REFINE_MODES,
     SAMPLERS,
+    Conditioning,
     base_sample,
     img2img_refine,
     make_schedule,
@@ -54,6 +57,9 @@ STAGES = (
     "decode_final",
 )
 ABLATABLE = ("vlm", "multi_llm", "specfusion")
+# A record's clause_scores keys: a clause's id is its basis pattern's index.
+# Every record shares these strings instead of formatting its own.
+_CLAUSE_KEYS = tuple(str(j) for j in range(N_BASIS))
 
 
 class PipelineError(Exception):
@@ -129,8 +135,18 @@ class PipelineConfig:
 
     @cached_property
     def _digest(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
+        payload = json.dumps(_config_payload(self), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _config_payload(config) -> dict:
+    """``asdict(config)`` without its deep copy, which a frozen config's
+    immutable fields do not need: a nested config becomes its own dict."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        out[f.name] = _config_payload(value) if is_dataclass(value) else value
+    return out
 
 
 @dataclass
@@ -237,10 +253,11 @@ class _AgentCalls:
 
 class _Held:
     """A latent with its digest and pattern projection, each computed at
-    most once."""
+    most once, and the final reports scored on it, one per critique key."""
 
     def __init__(self, latent: LatentField):
         self.latent = latent
+        self.finals = {}  # critique key -> CritiqueReport
 
     @cached_property
     def digest(self) -> str:
@@ -251,21 +268,64 @@ class _Held:
         return pattern_coefficients(self.latent.values)
 
 
+@dataclass(frozen=True, eq=False)
+class Critique:
+    """What a run's critique made, ``decode`` through ``merge_topk``: each
+    stage's output, the enhanced bundle's conditioning and the committee's
+    transcript entries.  Nothing in it is a latent."""
+
+    coefs: np.ndarray
+    hints: tuple
+    consensus: str
+    clauses: tuple
+    report: CritiqueReport
+    enhanced: PromptBundle
+    conditioning: Conditioning
+    transcript: tuple
+
+
+# The critique's stages, in order, and the Critique field each one makes.
+CRITIQUE_STAGES = {
+    "decode": "coefs",
+    "vlm_hints": "hints",
+    "aggregate": "consensus",
+    "decompose_clauses": "clauses",
+    "score_clauses": "report",
+    "merge_topk": "enhanced",
+}
+
+
 class _SharedBase:
-    """The last row's latents: the base, the last refinement made on it and
-    the last fusion made from that, each ``_Held`` so that it is hashed and
-    projected at most once.  A sweep hands one to every row: the first row
-    sets the base it sampled; a later row whose refinement input equals the
-    last one's gets the same z_ref back, and, if its rho, taper and clamp
-    equal the last fusion's too, the same z_fused.  A new refinement drops
-    the held refinement and fusion before it is made, and a new fusion the
-    held fusion, so a sweep holds the base and one z_ref and z_fused at most.
+    """What a sweep's rows share: the base, the last refinement made on it
+    and the last fusion made from that, each ``_Held`` so that it is hashed
+    and projected at most once; the last prompt bundle; and one critique per
+    critique key.  A sweep hands one to every row: the first row sets the
+    base it sampled; a later row whose refinement input equals the last
+    one's gets the same z_ref back, and, if its rho, taper and clamp equal
+    the last fusion's too, the same z_fused.  A new refinement drops the
+    held refinement and fusion before it is made, and a new fusion the held
+    fusion, so a sweep holds the base and one z_ref and z_fused at most.
+    The critiques hold no latent; there is at most one per row.
     """
 
     def __init__(self, latent: LatentField | None = None):
         self.base = None if latent is None else _Held(latent)
         self._refinement = None  # (key, z_ref)
         self._fusion = None  # ((rho, taper, clamp), z_ref, z_fused)
+        self._bundle = None  # ((prompt, budget), bundle)
+        self.critiques = {}  # critique key -> Critique
+
+    def bundle(self, prompt: str, budget: int) -> PromptBundle:
+        """``make_prompt_bundle(prompt, budget)``, made once per run of rows
+        with equal arguments."""
+        held = self._bundle
+        if held is None or held[0] != (prompt, budget):
+            held = self._bundle = ((prompt, budget), make_prompt_bundle(prompt, budget))
+        return held[1]
+
+    def critique(self, key) -> Critique | None:
+        """The critique held for ``key``, if any."""
+        return self.critiques.get(key)
 
     def refine(self, key, make) -> _Held:
         """The held z_ref if ``key`` is its key, else ``make()``'s output."""
@@ -319,12 +379,17 @@ def run_critifusion(
     in [0, t_max].  The toy's img2img pass lands on the enhanced prompt's
     target for every k, so k > 0 reaches only the recorded T'.  Blend
     refinement ignores k, so ``forced_k`` needs ``refine_mode = img2img``.
-    ``_base``, from a sweep, stands in for ``base_latent`` and holds the
-    last row's latents: a row whose refinement input (mode, conditioning,
+    ``_base``, from a sweep, stands in for ``base_latent`` and holds what
+    the sweep's rows share.  With no ``backend``, the built-in mock answers,
+    a pure function of each request, so a row whose critique inputs (prompt
+    bundle, gamma, committee, and whether vlm and multi_llm are disabled)
+    equal an earlier row's takes that row's critique, stage by stage, and
+    its final report when it scores the same z_fused.  A caller's backend is
+    asked on every row.  A row whose refinement input (mode, conditioning,
     T', beta endpoints and, for blend, lambda and seed) equals the last
     one's gets that ``z_ref`` back, and if its rho, taper and clamp match
     too, that ``z_fused``; a latent it gets back keeps its digest and
-    projection.  Every other stage is the row's own.
+    projection.  Every stage is timed on every row.
     """
     unknown = set(disable) - set(ABLATABLE)
     if unknown:
@@ -345,8 +410,21 @@ def run_critifusion(
         corrective_seed=config.seed + CORRECTIVE_SEED_OFFSET,
         prompt=config.prompt,
     )
+    sched = make_schedule(config.steps, config.beta_start, config.beta_end)
+    bundle = shared.bundle(config.prompt, config.budget)
+    # Everything the critique reads, besides the sweep's base.  Only the
+    # mock's answers are a function of the request alone.
+    key = None
     if backend is None:
         backend = MockAgentBackend()
+        key = (
+            bundle,
+            config.gamma,
+            config.committee,
+            "vlm" in disable,
+            "multi_llm" in disable,
+        )
+    held = None if key is None else shared.critique(key)
     # Rounds fan out only when calls wait on the network.  The mock answers
     # at once; on one CPU, even a pool shared by all rounds made its
     # sweeps_64 ops about 5 ms (4%) slower.
@@ -357,8 +435,6 @@ def run_critifusion(
         concurrent=config.agent_backend == "http",
     )
     latents: dict[str, LatentField] = {}
-    sched = make_schedule(config.steps, config.beta_start, config.beta_end)
-    bundle = make_prompt_bundle(config.prompt, config.budget)
 
     def stage(name: str, fn):
         calls.stage = name
@@ -373,6 +449,12 @@ def run_critifusion(
         record.wall_clock[name] = time.perf_counter() - start
         record.stages.append(name)
         return result
+
+    def critique_stage(name: str, make):
+        """Stage ``name`` of the critique: ``make()``, or the held output."""
+        if held is None:
+            return stage(name, make)
+        return stage(name, partial(getattr, held, CRITIQUE_STAGES[name]))
 
     def sample():
         if shared.base is None:
@@ -398,45 +480,67 @@ def run_critifusion(
         # decoding's division by gamma commutes with the projection.
         return z.projection / config.gamma
 
-    coefs = stage("decode", lambda: decode(base))
+    coefs = critique_stage("decode", lambda: decode(base))
 
     if "vlm" in disable:
-        hints = stage("vlm_hints", lambda: [])
+        hints = critique_stage("vlm_hints", tuple)
     else:
-        hints = stage(
+        hints = critique_stage(
             "vlm_hints",
-            lambda: vlm_hints(coefs, bundle, k_hints=config.committee.k_hints),
+            lambda: tuple(vlm_hints(coefs, bundle, k_hints=config.committee.k_hints)),
         )
     record.hints = list(hints)
 
     # Without the committee, the prompt itself is the consensus.
-    if "multi_llm" in disable:
+    if held is not None:
+
+        def consult():
+            consensus = held.consensus
+            record.transcript.extend(list(entry) for entry in held.transcript)
+            return consensus
+
+        consensus = stage("aggregate", consult)
+    elif "multi_llm" in disable:
         consensus = stage("aggregate", lambda: bundle.text)
     else:
-        consult = moa_aggregate if config.committee.mode == "moa" else run_mad
+        committee = moa_aggregate if config.committee.mode == "moa" else run_mad
         consensus = stage(
             "aggregate",
-            lambda: consult(
+            lambda: committee(
                 committee_instruction(bundle, hints), config.committee, calls
             ),
         )
     # The prompt's descriptors come first, so a committee too narrow to
     # name one never drops it; the consensus adds its enrichments after.
-    clauses = stage(
+    clauses = critique_stage(
         "decompose_clauses",
-        lambda: decompose_clauses(bundle.text + " " + consensus),
+        lambda: tuple(decompose_clauses(bundle.text + " " + consensus)),
     )
 
-    report = stage("score_clauses", lambda: score_clauses(clauses, coefs))
-    record.clause_scores = {str(c.clause_id): c.score for c in report.clauses}
+    report = critique_stage("score_clauses", lambda: score_clauses(clauses, coefs))
+    record.clause_scores = {_CLAUSE_KEYS[c.clause_id]: c.score for c in report.clauses}
     record.mean_score = report.mean_score
     record.alignment["base"] = report.mean_score
 
-    enhanced = stage(
+    enhanced = critique_stage(
         "merge_topk",
         lambda: merge_topk(bundle, report.clauses, config.committee.k_edit),
     )
     record.enhanced_tokens = list(enhanced.tokens)
+    if held is None:
+        coefs.flags.writeable = False
+        held = Critique(
+            coefs,
+            hints,
+            consensus,
+            clauses,
+            report,
+            enhanced,
+            conditioning_from_prompt(enhanced),
+            tuple(map(tuple, record.transcript)),
+        )
+        if key is not None:
+            shared.critiques[key] = held
 
     def corrective_params():
         params = cadr_from_alignment(report.mean_score, config.cadr)
@@ -444,7 +548,8 @@ def run_critifusion(
         return replace(params, T_prime=config.cadr.t_max) if forced_k else params
 
     params = stage("cadr", corrective_params)
-    record.cadr = asdict(params)
+    # asdict(params) without its deep copy of four numbers.
+    record.cadr = {f.name: getattr(params, f.name) for f in fields(params)}
 
     skip = params.T_prime == 0 or forced_k == 0
     # A stage that passes its input through passes its digest and projection
@@ -452,11 +557,11 @@ def run_critifusion(
     if skip:
         z_ref = stage("img2img_refine", lambda: base)
     else:
-        cond_ref = conditioning_from_prompt(enhanced)
+        cond_ref = held.conditioning
         # What the pass reads, as plain values (a schedule's == compares
         # arrays and raises).  Only blend reads lambda, the seed's noise and
         # the base's values; the base is the sweep's.
-        key = (
+        refine_key = (
             config.refine_mode,
             cond_ref.embedding.tobytes(),
             params.T_prime,
@@ -464,11 +569,11 @@ def run_critifusion(
             sched.beta_end,
         )
         if config.refine_mode == "blend":
-            key += (params.lam, config.seed)
+            refine_key += (params.lam, config.seed)
         z_ref = stage(
             "img2img_refine",
             lambda: shared.refine(
-                key,
+                refine_key,
                 lambda: img2img_refine(
                     base.latent,
                     cond_ref,
@@ -491,9 +596,17 @@ def run_critifusion(
     latents["z_fused"] = z_fused.latent
     record.digests["z_fused"] = z_fused.digest
 
-    final_report = stage(
-        "decode_final", lambda: score_clauses(report.clauses, decode(z_fused))
-    )
+    def score_final():
+        # The final report reads the clauses, gamma and z_fused: a critique
+        # key and a held z_fused that met before scored it already.
+        final = z_fused.finals.get(key) if key is not None else None
+        if final is None:
+            final = score_clauses(report.clauses, decode(z_fused))
+            if key is not None:
+                z_fused.finals[key] = final
+        return final
+
+    final_report = stage("decode_final", score_final)
     record.alignment["final"] = final_report.mean_score
     record.status = "ok"
     return record, latents
@@ -508,8 +621,10 @@ def _sweep(axis: str, rows, backend):
     refinement and fusion: a row whose refinement input equals the last
     one's reuses its z_ref, and then, with equal rho, taper and clamp, its
     z_fused; any other row replaces them.  Each latent the sweep holds is
-    hashed and projected once.  A failing row's StageFailure leaves with
-    the rows finished before it.
+    hashed and projected once.  With the built-in mock (``backend`` None),
+    the prompt bundle is built once and each distinct critique is made
+    once; a caller's backend is asked on every row.  A failing row's
+    StageFailure leaves with the rows finished before it.
     """
     values = [value for value, _, _ in rows]
     if not values:

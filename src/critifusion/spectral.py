@@ -13,6 +13,7 @@ transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,6 +108,8 @@ def inverse_spectrum(spec: Spectrum) -> LatentField:
     return LatentField(spec.channels, spec.height, spec.width, complex_field.real)
 
 
+# One profile is a single axis, 32 KB at 4096; a 2-D mask is never kept.
+@lru_cache(maxsize=64)
 def _axis_profile(size: int, half_width: int, taper_fraction: float) -> np.ndarray:
     """Per-axis mask profile in FFT order, over the distance d = min(k, size - k)
     of bin k from the DC bin 0.
@@ -114,7 +117,7 @@ def _axis_profile(size: int, half_width: int, taper_fraction: float) -> np.ndarr
     Weight 1 for d <= h - t, cosine ramp 1 -> 0 over the last
     t = ceil(taper_fraction * h) bins inside the rectangle, 0 outside.  A
     function of d alone, so even about the DC bin, p[k] == p[-k], and in
-    [0, 1] by construction.
+    [0, 1] by construction.  Memoised and read-only.
     """
     k = np.arange(size)
     d = np.minimum(k, size - k).astype(np.float64)
@@ -127,6 +130,7 @@ def _axis_profile(size: int, half_width: int, taper_fraction: float) -> np.ndarr
         # reads 0.5 * (1 + cos 0) = 1, the weight already set.
         ramp = (d > h - t) & (d <= h)
         profile[ramp] = 0.5 * (1.0 + np.cos(np.pi * (d[ramp] - (h - t)) / t))
+    profile.flags.writeable = False
     return profile
 
 

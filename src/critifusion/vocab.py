@@ -13,6 +13,7 @@ deterministic stand-in for LLM prompt enrichment.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .basis import N_BASIS
 
@@ -51,6 +52,8 @@ def tokenize(text: str) -> list[str]:
     return _PUNCT.sub(" ", text.lower()).split()
 
 
+# A run resolves the same few dozen words hundreds of times.
+@lru_cache(maxsize=4096)
 def resolve_token(token: str):
     """Basis index for a descriptor token in any agent dialect, else None."""
     stem = _TRAILING_DIGITS.sub("", token)

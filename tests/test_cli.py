@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from critifusion import cli, pipeline
+from critifusion.agents import MockAgentBackend
 from critifusion.cadr import CadrConfig
 from critifusion.criticore import CommitteeConfig
 from critifusion.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN_FAILURE, main
@@ -332,6 +333,27 @@ class TestSweeps:
         assert code == EXIT_OK
         rows = (out / "sweep.jsonl").read_text().splitlines()
         assert len(rows) == 4
+
+    def test_mock_sweep_shares_critiques_as_the_library_does(
+        self, tmp_path, cfg_file, monkeypatch
+    ):
+        # The CLI passes no backend for the built-in mock, so without_specfusion
+        # takes full's critique: 4 + 4 + 0 + 0 calls, not 12.
+        calls = []
+        respond = MockAgentBackend.respond
+
+        def counting(self, agent_id, request):
+            calls.append((agent_id, request))
+            return respond(self, agent_id, request)
+
+        monkeypatch.setattr(MockAgentBackend, "respond", counting)
+        out = tmp_path / "ab"
+        assert main(["ablate", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+        from_cli = calls[:]
+        calls.clear()
+        pipeline.ablate(PipelineConfig(prompt="aurora", seed=3), pipeline.ABLATABLE)
+        assert from_cli == calls
+        assert len(calls) == 8
 
     def test_sweep_k_blend_exit_2_no_rows(self, tmp_path):
         cfg = tmp_path / "blend.cfg"

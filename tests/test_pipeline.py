@@ -11,7 +11,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from critifusion import diffusion, pipeline, vocab
 from critifusion.agents import AgentTransportError, MockAgentBackend, mock_respond
@@ -842,13 +842,14 @@ class TestSharedBaseLatent:
 
     def test_each_distinct_config_digested_once(self, monkeypatch):
         digested = []
+        payload = pipeline._config_payload
 
         def counting(obj):
             if isinstance(obj, PipelineConfig):
                 digested.append(obj)
-            return asdict(obj)
+            return payload(obj)
 
-        monkeypatch.setattr(pipeline, "asdict", counting)
+        monkeypatch.setattr(pipeline, "_config_payload", counting)
         cfg = PipelineConfig(prompt=DEGRADED, seed=2)
         sweep_k(cfg, [0, 5, 30])
         ablate(cfg, ABLATABLE)
@@ -926,8 +927,8 @@ class TestSharedFusion:
     def test_rows_exact_under_digest_collisions(
         self, monkeypatch, sweep_runs, harness, refine_mode
     ):
-        # A pure guard: every digest collides, so only the bitwise check of
-        # z_ref tells the lambda rows' fusion inputs apart.
+        # A pure guard: every digest collides, so only the refinement key,
+        # which holds lambda for blend, tells the lambda rows' z_ref apart.
         monkeypatch.setattr(pipeline, "latent_digest", lambda field: "0" * 64)
         cfg = PipelineConfig(prompt=DEGRADED, seed=2, refine_mode=refine_mode)
         if harness == "lam":
@@ -1152,6 +1153,9 @@ def sweep_rows(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
         budget=draw(st.integers(1, 12)),
     )
+    # Variants share committees often, so keys that differ in one other
+    # field (gamma, a disable set) meet.
+    pool = draw(st.lists(committees(), min_size=1, max_size=2))
     variants = []
     for _ in range(draw(st.integers(2, 3))):
         config = replace(
@@ -1160,7 +1164,7 @@ def sweep_rows(draw):
             refine_mode=draw(st.sampled_from(diffusion.REFINE_MODES)),
             taper=draw(st.sampled_from([0.0, 0.1, 0.5])),
             clamp=draw(st.booleans()),
-            committee=draw(committees()),
+            committee=draw(st.sampled_from(pool)),
             cadr=draw(st.sampled_from(CADR_VARIANTS)),
             degrade=draw(st.sampled_from(["abort", "allow"])),
         )
@@ -1174,11 +1178,20 @@ def sweep_rows(draw):
     return draw(st.lists(st.sampled_from(variants), min_size=1, max_size=6))
 
 
+# Rows whose critique inputs differ in gamma alone, the one the harnesses
+# never vary, with the first row's critique coming back last.
+GAMMA_ROWS = [
+    (PipelineConfig(prompt=DEGRADED, seed=2, height=16, width=16, gamma=g), {})
+    for g in (1.0, 0.5, 1.0)
+]
+
+
 class TestSweepDifferential:
     """Any rows that share a base give, row by row, an independent run's
     record and latents: whatever a sweep shares between rows, its keys
     must tell apart every input a row reads."""
 
+    @example(rows=GAMMA_ROWS)
     @settings(
         max_examples=60,
         deadline=None,
@@ -1329,3 +1342,141 @@ class TestRunMemory:
         run(config, axis)
         peak = peak_bytes(lambda: run(config, axis))
         assert peak / (8 * config.channels * 128 * 128) < self.PEAK_FIELDS[128]
+
+
+# The name each critique stage calls through when a row computes it.
+CRITIQUE_CALLS = {
+    "decode": "pattern_coefficients",  # the base's projection, on row 0
+    "vlm_hints": "vlm_hints",
+    "aggregate": "moa_aggregate",
+    "decompose_clauses": "decompose_clauses",
+    "score_clauses": "score_clauses",
+    "merge_topk": "merge_topk",
+}
+REUSE_HARNESSES = {"sweep_k": (sweep_k, range(0, 31, 5)), "ablate": (ablate, ABLATABLE)}
+
+
+class FailingCritique:
+    """A held critique whose output for one stage raises when taken."""
+
+    def __init__(self, held, stage):
+        self.held, self.field = held, pipeline.CRITIQUE_STAGES[stage]
+
+    def __getattr__(self, name):
+        if name == self.field:
+            raise RuntimeError("injected failure taking a held critique")
+        return getattr(self.held, name)
+
+
+def critique_fields(record):
+    """The record fields the critique sets, by the stage that sets them."""
+    return {
+        "vlm_hints": record.hints,
+        "aggregate": record.transcript,
+        "score_clauses": (
+            record.clause_scores,
+            record.mean_score,
+            record.alignment.get("base"),
+        ),
+        "merge_topk": record.enhanced_tokens,
+    }
+
+
+def failing_call(name):
+    def fail(*args, **kwargs):
+        raise RuntimeError(f"injected {name} failure")
+
+    return fail
+
+
+class TestPartialRecordsUnderReuse:
+    """A critique stage that fails leaves the partial record an independent
+    run leaves when that stage fails, whether the row computes the critique
+    or takes a held one: each record field is set as its stage ends."""
+
+    @pytest.mark.parametrize("path", ["compute", "reuse"])
+    @pytest.mark.parametrize("stage", list(CRITIQUE_CALLS))
+    @pytest.mark.parametrize("harness", sorted(REUSE_HARNESSES))
+    def test_failed_stage_leaves_an_independent_runs_partial_record(
+        self, monkeypatch, harness, stage, path
+    ):
+        # ablate's rows: full, without_vlm, without_multi_llm (each computes)
+        # and without_specfusion, which takes full's critique.
+        if path == "reuse":
+            target = 3
+        elif harness == "sweep_k" or stage == "decode":
+            target = 0
+        else:
+            target = 2 if stage == "vlm_hints" else 1
+        rows, taken = [], []
+        original_run = pipeline.run_critifusion
+        original_call = getattr(pipeline, CRITIQUE_CALLS[stage])
+        original_critique = pipeline._SharedBase.critique
+
+        def run(config, backend=None, **kwargs):
+            rows.append((config, kwargs))
+            return original_run(config, backend, **kwargs)
+
+        def call(*args, **kwargs):
+            if path == "compute" and len(rows) - 1 == target:
+                raise RuntimeError(f"injected {stage} failure")
+            return original_call(*args, **kwargs)
+
+        def critique(shared, key):
+            held = original_critique(shared, key)
+            if path == "reuse" and len(rows) - 1 == target and held is not None:
+                taken.append(held)
+                return FailingCritique(held, stage)
+            return held
+
+        monkeypatch.setattr(pipeline, "run_critifusion", run)
+        monkeypatch.setattr(pipeline, CRITIQUE_CALLS[stage], call)
+        monkeypatch.setattr(pipeline._SharedBase, "critique", critique)
+        harness_fn, axis = REUSE_HARNESSES[harness]
+        # DDPM's base misses its target, so the VLM has hints to record.
+        cfg = PipelineConfig(prompt=DEGRADED, seed=2, sampler="ddpm")
+        with pytest.raises(StageFailure) as exc:
+            harness_fn(cfg, axis)
+        assert len(rows) == target + 1
+        assert len(taken) == (path == "reuse")
+        assert exc.value.stage == stage
+        assert len(exc.value.finished.rows) == target
+        record = exc.value.record
+        assert (record.status, record.failed_stage) == ("failed", stage)
+
+        monkeypatch.undo()
+        config, kwargs = rows[target]
+        public = {k: v for k, v in kwargs.items() if not k.startswith("_")}
+        # The fields of the stages before the failed one are the full run's;
+        # the others are still unset.
+        full, _ = run_critifusion(config, **public)
+        assert full.hints or "vlm" in public.get("disable", ())
+        finished = STAGES[: STAGES.index(stage)]
+        expected = {
+            name: critique_fields(full if name in finished else RunRecord())[name]
+            for name in critique_fields(record)
+        }
+        assert critique_fields(record) == expected
+        monkeypatch.setattr(pipeline, CRITIQUE_CALLS[stage], failing_call(stage))
+        with pytest.raises(StageFailure) as alone:
+            run_critifusion(config, **public)
+        assert alone.value.stage == stage
+        assert without_wall_clock(record) == without_wall_clock(alone.value.record)
+        assert sorted(record.wall_clock) == sorted(alone.value.record.wall_clock)
+
+
+class TestCallersBackendAskedEveryRow:
+    """Only the built-in mock's critiques are shared between rows: a
+    backend the caller passes answers every row, as in independent runs."""
+
+    @pytest.mark.parametrize("harness", sorted(HARNESSES))
+    def test_every_row_asks_the_backend(self, sweep_runs, harness):
+        backend = NumberedAnswers()
+        run, axis = HARNESSES[harness]
+        table = run(PipelineConfig(prompt=DEGRADED, seed=2), axis, backend)
+        expected = NumberedAnswers()
+        for config, kwargs, _, _ in sweep_runs:
+            public = {k: v for k, v in kwargs.items() if not k.startswith("_")}
+            run_critifusion(config, expected, **public)
+        assert len(sweep_runs) == len(table.rows)
+        assert backend.sent == expected.sent
